@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "core/macs.h"
+#include "util/fingerprint.h"
 
 namespace stepping {
 
@@ -31,23 +32,11 @@ std::int64_t step_macs(const MaskedLayer& layer, int from, int to) {
   return count;
 }
 
-/// 64-bit FNV-1a over the tensor bytes — the input fingerprint. One linear
-/// pass, no retained copy (cf. the class comment on collision odds).
-std::uint64_t fnv1a_bytes(const Tensor& x) {
-  const unsigned char* p = reinterpret_cast<const unsigned char*>(x.data());
-  const std::size_t n = sizeof(float) * static_cast<std::size_t>(x.numel());
-  std::uint64_t h = 1469598103934665603ULL;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 }  // namespace
 
 Tensor ladder_step(Network& net, const Tensor& x,
-                   std::vector<Tensor>& layer_outputs, int from, int to) {
+                   std::vector<Tensor>& layer_outputs, int from, int to,
+                   std::vector<StepColumns>* cols) {
   assert(to >= 1 && from >= 0 && from < to);
   SubnetContext ctx;
   ctx.subnet_id = to;
@@ -55,15 +44,22 @@ Tensor ladder_step(Network& net, const Tensor& x,
 
   const auto& layers = net.layers();
   layer_outputs.resize(layers.size());
-  Tensor cur = x;
+  if (cols != nullptr) cols->resize(layers.size());
+  const Tensor* cur = &x;
+  int layer_from = from;
   for (std::size_t i = 0; i < layers.size(); ++i) {
-    Tensor out = from == 0
-                     ? layers[i]->forward(cur, ctx)
-                     : layers[i]->forward_step(cur, layer_outputs[i], from, ctx);
-    layer_outputs[i] = out;
-    cur = std::move(out);
+    Layer& layer = *layers[i];
+    layer.forward_step(*cur, layer_outputs[i], layer_from, ctx,
+                       cols != nullptr ? &(*cols)[i] : nullptr);
+    // The head's outputs change at every level, so everything after it is
+    // recomputed in full.
+    if (const auto* m = dynamic_cast<const MaskedLayer*>(&layer);
+        m != nullptr && m->is_head()) {
+      layer_from = 0;
+    }
+    cur = &layer_outputs[i];
   }
-  return cur;
+  return *cur;
 }
 
 std::int64_t ladder_step_macs(Network& net, int from, int to) {
@@ -76,20 +72,27 @@ IncrementalExecutor::IncrementalExecutor(Network& net) : net_(net) {
   layer_outputs_.resize(net_.layers().size());
 }
 
+std::int64_t IncrementalExecutor::last_step_macs() const {
+  if (last_to_ == 0) return 0;
+  if (last_from_ == last_to_) {
+    return net_.masked_layers().back()->subnet_macs(last_to_);
+  }
+  return ladder_step_macs(net_, last_from_, last_to_);
+}
+
+std::int64_t IncrementalExecutor::last_full_macs() const {
+  std::int64_t total = 0;
+  if (last_to_ == 0) return total;
+  for (MaskedLayer* m : net_.masked_layers()) total += m->subnet_macs(last_to_);
+  return total;
+}
+
 void IncrementalExecutor::reset() {
   cached_subnet_ = 0;
   input_shape_.clear();
   input_hash_ = 0;
   for (auto& t : layer_outputs_) t = Tensor();
-}
-
-bool IncrementalExecutor::same_input(const Tensor& x) const {
-  return input_shape_ == x.shape() && input_hash_ == fnv1a_bytes(x);
-}
-
-void IncrementalExecutor::remember_input(const Tensor& x) {
-  input_shape_ = x.shape();
-  input_hash_ = fnv1a_bytes(x);
+  cols_.clear();
 }
 
 Tensor IncrementalExecutor::run(const Tensor& x, int subnet_id) {
@@ -103,23 +106,20 @@ Tensor IncrementalExecutor::run(const Tensor& x, int subnet_id) {
     bool& flag;
     ~RunGuard() { flag = false; }
   } run_guard{in_run_};
-  if (cached_subnet_ != 0 && subnet_id < cached_subnet_ && same_input(x)) {
-    return step_down(x, subnet_id);
-  }
-  if (cached_subnet_ == 0 || subnet_id < cached_subnet_ || !same_input(x)) {
-    reset();
-  }
-  const int from = cached_subnet_;
+  const std::uint64_t hash = fingerprint_fold(
+      kFingerprintSeed, x.data(), static_cast<std::size_t>(x.numel()));
+  const bool same = cached_subnet_ != 0 && input_shape_ == x.shape() &&
+                    input_hash_ == hash;
+  if (same && subnet_id <= cached_subnet_) return step_down(x, subnet_id);
+  // A new input starts cold; the buffers are reused in place (their stale
+  // units are never read, see ladder_step).
+  const int from = same ? cached_subnet_ : 0;
 
-  // Analytic MAC accounting for this step vs a from-scratch evaluation.
-  last_step_macs_ = ladder_step_macs(net_, from, subnet_id);
-  last_full_macs_ = 0;
-  for (MaskedLayer* m : net_.masked_layers()) {
-    last_full_macs_ += m->subnet_macs(subnet_id);
-  }
-
-  Tensor cur = ladder_step(net_, x, layer_outputs_, from, subnet_id);
-  remember_input(x);
+  last_from_ = from;
+  last_to_ = subnet_id;
+  Tensor cur = ladder_step(net_, x, layer_outputs_, from, subnet_id, &cols_);
+  input_shape_ = x.shape();
+  input_hash_ = hash;
   cached_subnet_ = subnet_id;
   return cur;
 }
@@ -127,35 +127,24 @@ Tensor IncrementalExecutor::run(const Tensor& x, int subnet_id) {
 Tensor IncrementalExecutor::step_down(const Tensor& x, int subnet_id) {
   // Dynamic subnet REDUCTION (paper §II): every unit of the smaller subnet
   // was already evaluated — and, by the structural invariant, to exactly the
-  // value the smaller subnet would compute. Masking the extra channels of
-  // each cached output reconstructs the smaller subnet's intermediate state;
-  // only the head must be recomputed.
+  // value the smaller subnet would compute. The cached state is read in
+  // place: the head contracts over the units active at `subnet_id` only, so
+  // the larger subnet's extra units are simply not read, and only the head
+  // (and anything after it) is recomputed.
   SubnetContext ctx;
   ctx.subnet_id = subnet_id;
   ctx.training = false;
+  last_from_ = last_to_ = subnet_id;
 
-  last_full_macs_ = 0;
-  for (MaskedLayer* m : net_.masked_layers()) {
-    last_full_macs_ += m->subnet_macs(subnet_id);
-  }
-  last_step_macs_ = net_.masked_layers().back()->subnet_macs(subnet_id);
+  MaskedLayer* head = net_.masked_layers().back();
 
   const auto& layers = net_.layers();
-  MaskedLayer* head = net_.masked_layers().back();
-  Tensor head_input = x;
+  bool after_head = false;
   for (std::size_t i = 0; i < layers.size(); ++i) {
-    if (layers[i].get() == static_cast<Layer*>(head)) {
-      layer_outputs_[i] = head->forward(head_input, ctx);
-    } else {
-      Tensor masked = layer_outputs_[i];
-      const IOSpec& spec = layers[i]->out_spec();
-      if (spec.assignment) {
-        mask_inactive_units(masked, *spec.assignment, spec.features_per_unit,
-                            subnet_id);
-      }
-      layer_outputs_[i] = std::move(masked);
-    }
-    head_input = layer_outputs_[i];
+    after_head = after_head || layers[i].get() == static_cast<Layer*>(head);
+    if (!after_head) continue;
+    layers[i]->forward_step(i == 0 ? x : layer_outputs_[i - 1],
+                            layer_outputs_[i], 0, ctx, nullptr);
   }
   cached_subnet_ = subnet_id;
   return layer_outputs_.back();

@@ -26,9 +26,21 @@ namespace stepping {
 /// IncrementalExecutor::run is this function plus an owned state + input
 /// fingerprint.
 ///
+/// Every layer runs its active-channel route (Layer::forward_step): a step
+/// lowers, multiplies and pools only the units joining in (from, to], reads
+/// only units active at `to`, and updates `layer_outputs` in place. Units
+/// of larger subnets may hold stale values there; no consumer reads them.
+///
+/// `cols`, when non-null, is the state's lowered-column cache (one entry per
+/// layer, used by body convolutions): each input unit is then lowered once
+/// per input however many steps the climb takes. Serve's re-stacked
+/// per-request state does not carry it (the cache would have to be
+/// re-stacked with the rows); such steps re-lower the active channels.
+///
 /// Returns the last layer's output (the logits tensor, B x classes).
 Tensor ladder_step(Network& net, const Tensor& x,
-                   std::vector<Tensor>& layer_outputs, int from, int to);
+                   std::vector<Tensor>& layer_outputs, int from, int to,
+                   std::vector<StepColumns>* cols = nullptr);
 
 /// Analytic per-image MACs ladder_step(from, to) executes: weights of units
 /// newly added in (from, to] plus a full head recompute.
@@ -53,14 +65,20 @@ std::int64_t ladder_step_macs(Network& net, int from, int to);
 /// workers do. Concurrent run() calls are caught by a debug-mode
 /// re-entrancy assert.
 ///
-/// Input identity is tracked by a cheap fingerprint (shape + a 64-bit FNV-1a
-/// hash of the bytes) rather than a retained deep copy, so long-lived
-/// per-worker executors do not hold an extra input-sized buffer each. The
+/// Input identity is tracked by a cheap fingerprint (shape + a 64-bit
+/// word-at-a-time hash of the bytes, util/fingerprint.h) rather than a
+/// retained deep copy, so long-lived per-worker executors do not hold an
+/// extra input-sized buffer each. The
 /// fingerprint is WHOLE-INPUT: any changed byte invalidates the entire
 /// cache. Per-REGION reuse — keeping clean spatial tiles of the cached
 /// activations when only part of the input changed — is deliberately NOT
 /// this class's job; it lives in src/stream/ (ISSUE 10), which fingerprints
 /// per tile and re-runs only dirty regions through Conv2d::forward_delta.
+///
+/// The executor also owns a lowered-column cache for its convolutions
+/// (StepColumns, one im2col matrix per conv layer in the full channel
+/// layout, ~0.74 MB for the benchmark's lenet3c1l at width 0.25): a climb
+/// L1 -> LN lowers each input channel exactly once.
 /// A hash collision (probability ~2^-64 per changed input) would silently
 /// reuse the stale cache; call reset() between inputs to bypass the
 /// fingerprint entirely when that risk is unacceptable.
@@ -78,37 +96,39 @@ class IncrementalExecutor {
   explicit IncrementalExecutor(Network& net);
 
   /// Evaluate subnet `subnet_id`. Larger than the cached id: step UP,
-  /// computing only the newly added units. Smaller: step DOWN — the cached
-  /// intermediate results are masked to the smaller subnet and only the
-  /// head is recomputed (paper §II: dynamic subnet reduction also reuses).
-  /// A different input resets the cache transparently.
+  /// computing only the newly added units. Smaller or equal: step DOWN —
+  /// only the head is recomputed, reading the smaller subnet's units of the
+  /// cached state in place (paper §II: dynamic subnet reduction also
+  /// reuses). A different input resets the cache transparently; the input
+  /// is fingerprinted once per call.
   Tensor run(const Tensor& x, int subnet_id);
 
   /// Forget cached activations (call when the input changes; run() also
   /// detects changed inputs itself).
   void reset();
 
-  /// MACs actually executed by the last run() call (analytic count).
-  std::int64_t last_step_macs() const { return last_step_macs_; }
+  /// MACs actually executed by the last run() call (analytic count over the
+  /// network's current masks, computed on demand: run() itself does not pay
+  /// for the weight walk).
+  std::int64_t last_step_macs() const;
 
   /// MACs a from-scratch evaluation of the last subnet would execute.
-  std::int64_t last_full_macs() const { return last_full_macs_; }
+  std::int64_t last_full_macs() const;
 
   /// Subnet id the cache currently represents (0 = empty).
   int cached_subnet() const { return cached_subnet_; }
 
  private:
-  bool same_input(const Tensor& x) const;
   Tensor step_down(const Tensor& x, int subnet_id);
-  void remember_input(const Tensor& x);
 
   Network& net_;
   std::vector<int> input_shape_;       // fingerprint: shape ...
-  std::uint64_t input_hash_ = 0;       // ... + FNV-1a of the bytes
+  std::uint64_t input_hash_ = 0;       // ... + hash of the bytes
   std::vector<Tensor> layer_outputs_;  // one per layer, post-activation
+  std::vector<StepColumns> cols_;      // lowered-column cache per layer
   int cached_subnet_ = 0;
-  std::int64_t last_step_macs_ = 0;
-  std::int64_t last_full_macs_ = 0;
+  int last_from_ = 0;  // last run(): step (from, to]; from == to is a step
+  int last_to_ = 0;    // down (head only); to == 0 before the first run
   bool in_run_ = false;  // debug re-entrancy guard (asserted in run())
 };
 

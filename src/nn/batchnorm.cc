@@ -32,54 +32,49 @@ IOSpec BatchNorm2d::wire(const IOSpec& in, Rng& rng) {
 
 Tensor BatchNorm2d::forward(const Tensor& x, const SubnetContext& ctx) {
   assert(x.rank() == 4 && x.dim(1) == channels_);
+  if (!ctx.training) {
+    Tensor y(x.shape());  // zero-filled; inactive channels stay zero
+    forward_step(x, y, 0, ctx, nullptr);
+    return y;
+  }
   const int n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const std::int64_t plane = static_cast<std::int64_t>(h) * w;
   const std::int64_t m = static_cast<std::int64_t>(n) * plane;
 
   Tensor y(x.shape());
-  if (ctx.training) {
-    if (xhat_cache_.shape() != x.shape()) xhat_cache_ = Tensor(x.shape());
-    inv_std_cache_.assign(static_cast<std::size_t>(channels_), 0.0f);
-  }
+  if (xhat_cache_.shape() != x.shape()) xhat_cache_ = Tensor(x.shape());
+  inv_std_cache_.assign(static_cast<std::size_t>(channels_), 0.0f);
 
   const float* px = x.data();
   float* py = y.data();
-  float* pxhat = ctx.training ? xhat_cache_.data() : nullptr;
+  float* pxhat = xhat_cache_.data();
   for (int c = 0; c < channels_; ++c) {
     const bool active = (*assignment_)[static_cast<std::size_t>(c)] <= ctx.subnet_id;
     if (!active) {
       // y is freshly zero-filled; just invalidate the xhat cache planes.
-      if (ctx.training) {
-        for (int i = 0; i < n; ++i) {
-          const std::int64_t off =
-              (static_cast<std::int64_t>(i) * channels_ + c) * plane;
-          float* xh = pxhat + off;
-          for (std::int64_t j = 0; j < plane; ++j) xh[j] = 0.0f;
-        }
+      for (int i = 0; i < n; ++i) {
+        const std::int64_t off =
+            (static_cast<std::int64_t>(i) * channels_ + c) * plane;
+        float* xh = pxhat + off;
+        for (std::int64_t j = 0; j < plane; ++j) xh[j] = 0.0f;
       }
       continue;
     }
-    float mean, var;
-    if (ctx.training) {
-      double s = 0.0, s2 = 0.0;
-      for (int i = 0; i < n; ++i) {
-        const float* src = px + (static_cast<std::int64_t>(i) * channels_ + c) * plane;
-        for (std::int64_t j = 0; j < plane; ++j) {
-          s += src[j];
-          s2 += static_cast<double>(src[j]) * src[j];
-        }
+    double s = 0.0, s2 = 0.0;
+    for (int i = 0; i < n; ++i) {
+      const float* src = px + (static_cast<std::int64_t>(i) * channels_ + c) * plane;
+      for (std::int64_t j = 0; j < plane; ++j) {
+        s += src[j];
+        s2 += static_cast<double>(src[j]) * src[j];
       }
-      mean = static_cast<float>(s / static_cast<double>(m));
-      var = static_cast<float>(s2 / static_cast<double>(m)) - mean * mean;
-      if (var < 0.0f) var = 0.0f;
-      running_mean_[c] = (1.0f - momentum_) * running_mean_[c] + momentum_ * mean;
-      running_var_[c] = (1.0f - momentum_) * running_var_[c] + momentum_ * var;
-    } else {
-      mean = running_mean_[c];
-      var = running_var_[c];
     }
+    const float mean = static_cast<float>(s / static_cast<double>(m));
+    float var = static_cast<float>(s2 / static_cast<double>(m)) - mean * mean;
+    if (var < 0.0f) var = 0.0f;
+    running_mean_[c] = (1.0f - momentum_) * running_mean_[c] + momentum_ * mean;
+    running_var_[c] = (1.0f - momentum_) * running_var_[c] + momentum_ * var;
     const float inv_std = 1.0f / std::sqrt(var + eps_);
-    if (ctx.training) inv_std_cache_[static_cast<std::size_t>(c)] = inv_std;
+    inv_std_cache_[static_cast<std::size_t>(c)] = inv_std;
     const float g = gamma_.value[c], b = beta_.value[c];
     for (int i = 0; i < n; ++i) {
       const std::int64_t off = (static_cast<std::int64_t>(i) * channels_ + c) * plane;
@@ -88,11 +83,42 @@ Tensor BatchNorm2d::forward(const Tensor& x, const SubnetContext& ctx) {
       for (std::int64_t j = 0; j < plane; ++j) {
         const float xv = (src[j] - mean) * inv_std;
         dst[j] = g * xv + b;
-        if (ctx.training) pxhat[off + j] = xv;
+        pxhat[off + j] = xv;
       }
     }
   }
   return y;
+}
+
+void BatchNorm2d::forward_step(const Tensor& x, Tensor& y, int from,
+                               const SubnetContext& ctx, StepColumns* cols) {
+  (void)cols;
+  assert(!ctx.training && x.rank() == 4 && x.dim(1) == channels_);
+  if (y.shape() != x.shape()) y = Tensor(x.shape());
+  const int n = x.dim(0);
+  const std::int64_t plane = static_cast<std::int64_t>(x.dim(2)) * x.dim(3);
+  const float* px = x.data();
+  float* py = y.data();
+  for_each_unit_run(assignment_.get(), channels_, from, ctx.subnet_id,
+                    [&](int c0, int c1) {
+    for (int c = c0; c < c1; ++c) {
+      // Running statistics: the same per-element expression as training's
+      // normalization, with the stored mean and variance.
+      const float mean = running_mean_[c];
+      const float inv_std = 1.0f / std::sqrt(running_var_[c] + eps_);
+      const float g = gamma_.value[c], b = beta_.value[c];
+      for (int i = 0; i < n; ++i) {
+        const std::int64_t off =
+            (static_cast<std::int64_t>(i) * channels_ + c) * plane;
+        const float* src = px + off;
+        float* dst = py + off;
+        for (std::int64_t j = 0; j < plane; ++j) {
+          const float xv = (src[j] - mean) * inv_std;
+          dst[j] = g * xv + b;
+        }
+      }
+    }
+  });
 }
 
 Tensor BatchNorm2d::backward(const Tensor& grad_y, const SubnetContext& ctx) {

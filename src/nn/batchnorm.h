@@ -24,6 +24,9 @@ class BatchNorm2d final : public Layer {
   IOSpec wire(const IOSpec& in, Rng& rng) override;
   Tensor forward(const Tensor& x, const SubnetContext& ctx) override;
   Tensor backward(const Tensor& grad_y, const SubnetContext& ctx) override;
+  /// Inference: normalizes the channels joining in (from, to] in place.
+  void forward_step(const Tensor& x, Tensor& y, int from,
+                    const SubnetContext& ctx, StepColumns* cols) override;
   /// Inference BN is elementwise per channel (running statistics do not
   /// depend on the current input), so a dirty input element dirties exactly
   /// itself. Streaming delta runs inference-only, where this holds.

@@ -60,8 +60,6 @@ Tensor Conv2d::forward_impl(const Tensor& x, const SubnetContext& ctx,
   const int n = x.dim(0);
   const int oh = geom_.out_h(), ow = geom_.out_w();
   const int spatial = oh * ow;
-  const Tensor& w = effective_weights();
-  const auto& active = active_flags(ctx.subnet_id);
 
   if (ctx.calib_record != nullptr && !ctx.training) {
     // im2col only replicates/zero-pads input values, and 0 quantizes exactly
@@ -70,51 +68,119 @@ Tensor Conv2d::forward_impl(const Tensor& x, const SubnetContext& ctx,
                              static_cast<std::size_t>(x.numel()));
   }
 
+  Tensor y({n, units_, oh, ow});  // zero-filled; inactive units stay zero
+
   // Int8 rung (ISSUE 7): see Dense::forward_impl. Resolved once per batch;
   // non-null => every image below runs the u8 x i8 provider.
-  const quant::CalibEntry* calib = nullptr;
   if (ctx.precision == quant::Precision::kInt8 && !ctx.training && !is_head_ &&
       ctx.calibration != nullptr) {
-    calib = ctx.calibration->find(name_, ctx.subnet_id);
-  }
-
-  Tensor y({n, units_, oh, ow});  // zero-filled; inactive units stay zero
-  // Workspaces come from the per-thread arena: reused across calls (zero
-  // heap allocations once warmed up — asserted by the conv arena test).
-  ArenaScope ws;
-  const std::int64_t patch = geom_.patch();
-  float* cols = ws.alloc_floats(static_cast<std::size_t>(patch) * spatial);
-  const std::int64_t in_img = static_cast<std::int64_t>(geom_.in_c) * geom_.in_h *
-                              geom_.in_w;
-  const std::int64_t out_img = static_cast<std::int64_t>(units_) * spatial;
-  if (calib != nullptr) {
-    const quant::PreparedInt8 pw = quant::prepare_int8_weights(
-        pack_id(), w.data(), units_, static_cast<int>(patch));
-    const quant::ActQuant aq = ctx.calibration->params(*calib);
-    for (int i = 0; i < n; ++i) {
-      im2col(x.data() + i * in_img, geom_, cols);
-      quant::int8_conv_forward(cols, spatial, pw, aq, active.data(),
-                               bias_.value.data(), relu,
-                               y.data() + i * out_img);
+    if (const quant::CalibEntry* calib =
+            ctx.calibration->find(name_, ctx.subnet_id)) {
+      const Tensor& w = effective_weights();
+      const auto& active = active_flags(ctx.subnet_id);
+      ArenaScope ws;
+      const std::int64_t patch = geom_.patch();
+      float* cols = ws.alloc_floats(static_cast<std::size_t>(patch) * spatial);
+      const std::int64_t in_img =
+          static_cast<std::int64_t>(geom_.in_c) * geom_.in_h * geom_.in_w;
+      const std::int64_t out_img = static_cast<std::int64_t>(units_) * spatial;
+      const quant::PreparedInt8 pw = quant::prepare_int8_weights(
+          pack_id(), w.data(), units_, static_cast<int>(patch));
+      const quant::ActQuant aq = ctx.calibration->params(*calib);
+      for (int i = 0; i < n; ++i) {
+        im2col(x.data() + i * in_img, geom_, cols);
+        quant::int8_conv_forward(cols, spatial, pw, aq, active.data(),
+                                 bias_.value.data(), relu,
+                                 y.data() + i * out_img);
+      }
+      return y;
     }
-    return y;
-  }
-  for (int i = 0; i < n; ++i) {
-    im2col(x.data() + i * in_img, geom_, cols);
-    // y_i (U x S) = w (U x P) * cols (P x S) + bias, active rows only, with
-    // the bias add (and optional ReLU) fused into the micro-kernel store —
-    // results land straight in y, skipping the former yi staging buffer and
-    // its copy-out pass.
-    gemm_rows_bias(w.data(), cols, y.data() + i * out_img, units_,
-                   static_cast<int>(patch), spatial, active.data(),
-                   bias_.value.data(), relu);
   }
 
+  compute_rows(x, y, 0, ctx.subnet_id, relu, nullptr, /*zero_rows=*/false,
+               ctx.training);
   if (ctx.training) {
     x_cache_ = x;
     preact_cache_ = y;  // Eq. 2 harvesting (inactive units zero, skipped)
   }
   return y;
+}
+
+void Conv2d::compute_rows(const Tensor& x, Tensor& y, int from, int to,
+                          bool relu, StepColumns* cache, bool zero_rows,
+                          bool training) {
+  const Tensor& w = effective_weights(training);
+  int r0 = 0, r1 = 0;
+  joining_rows(from, to, rows_, &r0, &r1);
+  if (r0 == r1) return;
+  const int n = x.dim(0);
+  const int spatial = geom_.out_h() * geom_.out_w();
+  const int kk = kernel_ * kernel_;
+  const int patch = geom_.patch();
+  // The contraction stops after the last input channel active at `to`;
+  // rows past it are never lowered, packed or read.
+  const int c_end = input_units_end(to);
+  const int k = c_end * kk;
+  const std::int64_t in_img =
+      static_cast<std::int64_t>(geom_.in_c) * geom_.in_h * geom_.in_w;
+  const std::int64_t out_img = static_cast<std::int64_t>(units_) * spatial;
+  const std::size_t plane = static_cast<std::size_t>(spatial);
+
+  if (zero_rows) {
+    // The kernel accumulates into C; a recomputed row starts from +0 exactly
+    // as it does in a zero-filled tensor (it may hold a larger subnet's or
+    // an earlier input's values).
+    for (int i = 0; i < n; ++i) {
+      for (int u = r0; u < r1; ++u) {
+        if (!rows_[static_cast<std::size_t>(u)]) continue;
+        std::memset(y.data() + i * out_img + u * plane, 0,
+                    sizeof(float) * plane);
+      }
+    }
+  }
+
+  // Column source. A ladder state's cache holds the full channel layout and
+  // lowers each input channel once per input; rows it has not lowered for
+  // this input belong to channels a body layer's weights reach only through
+  // exact zeros, which the GEMM skips, so their content is never multiplied.
+  // A head (nonzero weights everywhere) and cache-less passes lower into
+  // arena scratch (lower_active).
+  const bool use_cache = cache != nullptr && !is_head_;
+  ArenaScope ws;
+  float* scratch = nullptr;
+  const std::size_t img_cols = static_cast<std::size_t>(patch) * plane;
+  if (use_cache) {
+    const std::vector<int> shape{n, patch, spatial};
+    if (cache->cols.shape() != shape) {
+      cache->cols = Tensor(shape);
+      cache->level = 0;
+    }
+    if (from == 0) cache->level = 0;  // a new input
+    if (to > cache->level) {
+      for (int i = 0; i < n; ++i) {
+        for_each_unit_run(in_assign_.get(), geom_.in_c, cache->level, to,
+                          [&](int c0, int c1) {
+          im2col(x.data() + i * in_img, geom_,
+                 cache->cols.data() + i * img_cols, c0, c1);
+        });
+      }
+      cache->level = to;
+    }
+  } else {
+    scratch = ws.alloc_floats(static_cast<std::size_t>(k) * plane);
+  }
+
+  const SpatialRegion whole = SpatialRegion::full(geom_.out_h(), geom_.out_w());
+  for (int i = 0; i < n; ++i) {
+    float* cols = use_cache ? cache->cols.data() + i * img_cols : scratch;
+    if (!use_cache) lower_active(x.data() + i * in_img, whole, to, c_end, cols);
+    // y rows [r0, r1) (U x S) = w rows [r0, r1), first k columns (row stride
+    // patch) * cols (k x S) + bias, flagged rows only, with the bias add (and
+    // optional ReLU) fused into the micro-kernel store.
+    gemm_rows_bias(w.data() + static_cast<std::size_t>(r0) * patch, cols,
+                   y.data() + i * out_img + r0 * plane, r1 - r0, k, spatial,
+                   rows_.data() + r0, bias_.value.data() + r0, relu, patch);
+  }
 }
 
 Tensor Conv2d::backward(const Tensor& grad_y_in, const SubnetContext& ctx) {
@@ -131,7 +197,7 @@ Tensor Conv2d::backward(const Tensor& grad_y_in, const SubnetContext& ctx) {
   if (weight_.grad.shape() != weight_.value.shape()) weight_.zero_grad();
   if (bias_.grad.shape() != bias_.value.shape()) bias_.zero_grad();
 
-  const Tensor& w = effective_weights();
+  const Tensor& w = effective_weights(/*training=*/true);
   const auto& active = active_flags(ctx.subnet_id);
   Tensor grad_x(x_cache_.shape());
   ArenaScope ws;
@@ -168,56 +234,64 @@ Tensor Conv2d::backward(const Tensor& grad_y_in, const SubnetContext& ctx) {
   return grad_x;
 }
 
-Tensor Conv2d::forward_delta(const Tensor& x, const Tensor& cached_y,
-                             const SpatialRegion& out_region,
-                             const SubnetContext& ctx) {
+void Conv2d::forward_delta(const Tensor& x, Tensor& y,
+                           const SpatialRegion& out_region,
+                           const SubnetContext& ctx) {
   assert(!ctx.training);
-  // Fall back to a full pass whenever the cached plane cannot be spliced
-  // into: no cache, head semantics, int8 precision (delta reuse is an fp32
-  // bitwise property, like incremental step-up), a degenerate region, or a
-  // region that already covers the plane.
+  // Fall back to the full active-channel pass whenever the cached plane
+  // cannot be spliced into: head semantics, int8 precision (delta reuse is
+  // an fp32 bitwise property, like incremental step-up), no cached plane, or
+  // a region that already covers the plane.
   const int oh = geom_.out_h(), ow = geom_.out_w();
   const SpatialRegion reg = out_region.clipped(oh, ow);
   const bool int8_pass = ctx.precision == quant::Precision::kInt8 &&
                          ctx.calibration != nullptr;
-  if (cached_y.empty() || is_head_ || int8_pass || ctx.calib_record != nullptr ||
-      reg.covers(oh, ow)) {
-    return forward(x, ctx);
+  if (int8_pass || ctx.calib_record != nullptr) {
+    y = forward(x, ctx);
+    return;
   }
-  assert(x.rank() == 4 && x.dim(1) == geom_.in_c &&
-         cached_y.shape() == std::vector<int>({x.dim(0), units_, oh, ow}));
-  Tensor y = cached_y;  // splice target: clean positions keep frame t's bits
-  if (reg.empty()) return y;  // nothing dirty reaches this layer
+  assert(x.rank() == 4 && x.dim(1) == geom_.in_c);
   const int n = x.dim(0);
+  if (is_head_ || reg.covers(oh, ow) ||
+      y.shape() != std::vector<int>({n, units_, oh, ow})) {
+    forward_step(x, y, 0, ctx, nullptr);
+    return;
+  }
+  if (reg.empty()) return;  // nothing dirty reaches this layer
+  const int to = ctx.subnet_id;
   const Tensor& w = effective_weights();
-  const auto& active = active_flags(ctx.subnet_id);
+  int r0 = 0, r1 = 0;
+  joining_rows(0, to, rows_, &r0, &r1);
+  if (r0 == r1) return;
+  const int patch = geom_.patch();
+  const int c_end = input_units_end(to);
+  const int k = c_end * kernel_ * kernel_;
   const int rw = reg.width();
   const std::int64_t area = reg.area();
   ArenaScope ws;
-  const std::int64_t patch = geom_.patch();
-  float* cols = ws.alloc_floats(static_cast<std::size_t>(patch) * area);
-  float* part = ws.alloc_floats(static_cast<std::size_t>(units_) * area);
+  float* cols = ws.alloc_floats(static_cast<std::size_t>(k) * area);
+  float* part = ws.alloc_floats(static_cast<std::size_t>(r1 - r0) * area);
   const std::int64_t in_img = static_cast<std::int64_t>(geom_.in_c) * geom_.in_h *
                               geom_.in_w;
   const std::int64_t out_img = static_cast<std::int64_t>(units_) * oh * ow;
   for (int i = 0; i < n; ++i) {
-    // Lower only the dirty output positions; the resulting columns are
-    // byte-identical to the corresponding columns of the full im2col, and
-    // each GEMM output element's FP sequence depends only on its own column
-    // (tensor/gemm_kernel.h), so `part` carries exactly the bits a full
-    // forward would put at those positions.
-    im2col_region(x.data() + i * in_img, geom_, reg, cols);
+    // Lower only the dirty output positions of the active input channels;
+    // the resulting columns are byte-identical to the corresponding columns
+    // of the full im2col, and each GEMM output element's FP sequence depends
+    // only on its own column (tensor/gemm_kernel.h), so `part` carries
+    // exactly the bits a full forward would put at those positions.
+    lower_active(x.data() + i * in_img, reg, to, c_end, cols);
     // The kernel accumulates into C (the full path hands it a zero-filled
     // tensor); arena scratch must be zeroed the same way each image.
     std::memset(part, 0,
-                sizeof(float) * static_cast<std::size_t>(units_) * area);
-    gemm_rows_bias(w.data(), cols, part, units_, static_cast<int>(patch),
-                   static_cast<int>(area), active.data(), bias_.value.data(),
-                   /*relu=*/false);
+                sizeof(float) * static_cast<std::size_t>(r1 - r0) * area);
+    gemm_rows_bias(w.data() + static_cast<std::size_t>(r0) * patch, cols, part,
+                   r1 - r0, k, static_cast<int>(area), rows_.data() + r0,
+                   bias_.value.data() + r0, /*relu=*/false, patch);
     float* yi = y.data() + i * out_img;
-    for (int u = 0; u < units_; ++u) {
-      if (!active[static_cast<std::size_t>(u)]) continue;  // stays zero
-      const float* prow = part + static_cast<std::size_t>(u) * area;
+    for (int u = r0; u < r1; ++u) {
+      if (!rows_[static_cast<std::size_t>(u)]) continue;
+      const float* prow = part + static_cast<std::size_t>(u - r0) * area;
       float* plane = yi + static_cast<std::int64_t>(u) * oh * ow;
       for (int r = reg.r0; r < reg.r1; ++r) {
         std::memcpy(plane + static_cast<std::size_t>(r) * ow + reg.c0,
@@ -226,45 +300,46 @@ Tensor Conv2d::forward_delta(const Tensor& x, const Tensor& cached_y,
       }
     }
   }
-  return y;
 }
 
-Tensor Conv2d::forward_step(const Tensor& x, const Tensor& cached_y,
-                            int from_subnet, const SubnetContext& ctx) {
-  assert(!ctx.training);
-  // A head recomputes every unit, which is exactly forward().
-  if (cached_y.empty() || is_head_) return forward(x, ctx);
-  const int n = x.dim(0);
-  const int spatial = geom_.out_h() * geom_.out_w();
-  const Tensor& w = effective_weights();
-  Tensor y = cached_y;  // reuse results of units evaluated at from_subnet
-
-  // Evaluate only the units joining in (from_subnet, subnet_id], through the
-  // SAME dispatcher forward() uses, so step-up follows the active ISA tier's
-  // multiply-add semantics and stays bit-identical to a from-scratch
-  // evaluation. Joining units are zero in cached_y (masked when it was
-  // produced), so the kernel's accumulate-into-C is an overwrite for them;
-  // reused units are skipped untouched.
-  std::vector<unsigned char> fresh(static_cast<std::size_t>(units_), 0);
-  for (int u = 0; u < units_; ++u) {
-    const int sv = (*out_assign_)[static_cast<std::size_t>(u)];
-    if (sv > from_subnet && sv <= ctx.subnet_id) fresh[static_cast<std::size_t>(u)] = 1;
+void Conv2d::lower_active(const float* x, const SpatialRegion& reg, int to,
+                          int c_end, float* cols) const {
+  const Assignment* in_a = in_assign_.get();
+  const bool whole = reg.covers(geom_.out_h(), geom_.out_w());
+  for_each_unit_run(in_a, c_end, 0, to, [&](int c0, int c1) {
+    if (whole) {
+      im2col(x, geom_, cols, c0, c1);
+    } else {
+      im2col_region(x, geom_, reg, cols, c0, c1);
+    }
+  });
+  // Inactive channels below c_end (scattered assignments only) become zero
+  // rows: a head reads them with nonzero weights, and zero is what the
+  // masked input held there.
+  const std::size_t rows = static_cast<std::size_t>(kernel_) * kernel_;
+  const std::size_t area = static_cast<std::size_t>(reg.area());
+  for (int c = 0; c < c_end; ++c) {
+    if (unit_joins(in_a, c, 0, to)) continue;
+    std::memset(cols + c * rows * area, 0, sizeof(float) * rows * area);
   }
+}
 
-  ArenaScope ws;
-  const std::int64_t patch = geom_.patch();
-  float* cols = ws.alloc_floats(static_cast<std::size_t>(patch) * spatial);
-  const std::int64_t in_img = static_cast<std::int64_t>(geom_.in_c) * geom_.in_h *
-                              geom_.in_w;
-  const std::int64_t out_img = static_cast<std::int64_t>(units_) * spatial;
-  for (int i = 0; i < n; ++i) {
-    im2col(x.data() + i * in_img, geom_, cols);
-    gemm_rows_bias(w.data(), cols, y.data() + i * out_img, units_,
-                   static_cast<int>(patch), spatial, fresh.data(),
-                   bias_.value.data(), /*relu=*/false);
+void Conv2d::forward_step(const Tensor& x, Tensor& y, int from,
+                          const SubnetContext& ctx, StepColumns* cols) {
+  assert(!ctx.training && x.rank() == 4 && x.dim(1) == geom_.in_c);
+  if (ctx.precision == quant::Precision::kInt8 && ctx.calibration != nullptr) {
+    y = forward(x, ctx);  // int8 has no step route; it runs each level whole
+    return;
   }
-  mask_inactive_units(y, *out_assign_, 1, ctx.subnet_id);
-  return y;
+  const std::vector<int> shape{x.dim(0), units_, geom_.out_h(), geom_.out_w()};
+  const bool fresh = y.shape() != shape;
+  if (fresh) y = Tensor(shape);
+  // Units joining in (from, to] are computed through the SAME dispatcher
+  // forward() uses, so a step follows the active ISA tier's multiply-add
+  // semantics and stays bit-identical to a from-scratch evaluation; units
+  // evaluated at `from` are never touched. A head recomputes every unit.
+  compute_rows(x, y, is_head_ ? 0 : from, ctx.subnet_id, /*relu=*/false, cols,
+               /*zero_rows=*/!fresh, /*training=*/false);
 }
 
 }  // namespace stepping

@@ -23,17 +23,17 @@ class Conv2d final : public MaskedLayer {
   bool can_fuse_relu() const override { return true; }
   Tensor forward_relu(const Tensor& x, const SubnetContext& ctx) override;
   Tensor backward(const Tensor& grad_y, const SubnetContext& ctx) override;
-  Tensor forward_step(const Tensor& x, const Tensor& cached_y, int from_subnet,
-                      const SubnetContext& ctx) override;
+  void forward_step(const Tensor& x, Tensor& y, int from,
+                    const SubnetContext& ctx, StepColumns* cols) override;
   SpatialRegion propagate_dirty_region(const SpatialRegion& in) const override {
     return conv_dirty_out_region(geom_, in);
   }
   /// Delta recompute saves real MACs here (the body convs dominate the MAC
   /// budget); heads are recomputed in full per subnet, so they opt out.
   bool supports_spatial_delta() const override { return !is_head(); }
-  Tensor forward_delta(const Tensor& x, const Tensor& cached_y,
-                       const SpatialRegion& out_region,
-                       const SubnetContext& ctx) override;
+  void forward_delta(const Tensor& x, Tensor& y,
+                     const SpatialRegion& out_region,
+                     const SubnetContext& ctx) override;
   std::unique_ptr<Layer> clone() const override {
     return std::make_unique<Conv2d>(*this);
   }
@@ -43,12 +43,28 @@ class Conv2d final : public MaskedLayer {
  private:
   Tensor forward_impl(const Tensor& x, const SubnetContext& ctx, bool relu);
 
+  /// The active-channel conv behind every fp32 route: computes the output
+  /// rows joining in (from, to] (every row of a head) into `y`, contracting
+  /// over the input channels active at `to` only. `cache` is the ladder
+  /// state's lowered-column cache (null: lower into arena scratch);
+  /// `zero_rows` clears the computed rows first when `y` is reused state.
+  void compute_rows(const Tensor& x, Tensor& y, int from, int to, bool relu,
+                    StepColumns* cache, bool zero_rows, bool training);
+
+  /// Lower one image's input channels active at `to` (those below c_end)
+  /// into a (c_end * k * k, reg.area()) column matrix over output region
+  /// `reg`; inactive channels among them get zero rows.
+  void lower_active(const float* x, const SpatialRegion& reg, int to,
+                    int c_end, float* cols) const;
+
   std::string name_;
   int out_channels_;
   int kernel_;
   int stride_;
   int pad_;
   Conv2dGeometry geom_;
+
+  std::vector<unsigned char> rows_;  // scratch: rows a pass computes
 
   // Per-batch caches for backward.
   Tensor x_cache_;       // input (im2col recomputed in backward to save RAM)

@@ -109,7 +109,7 @@ Tensor DepthwiseConv2d::forward(const Tensor& x, const SubnetContext& ctx) {
   const int n = x.dim(0);
   const int oh = geom_.out_h(), ow = geom_.out_w();
   const int spatial = oh * ow;
-  const Tensor& w = effective_weights();
+  const Tensor& w = effective_weights(ctx.training);
   const auto& active = active_flags(ctx.subnet_id);
 
   Tensor y({n, units_, oh, ow});
@@ -154,7 +154,7 @@ Tensor DepthwiseConv2d::backward(const Tensor& grad_y_in,
   if (weight_.grad.shape() != weight_.value.shape()) weight_.zero_grad();
   if (bias_.grad.shape() != bias_.value.shape()) bias_.zero_grad();
 
-  const Tensor& w = effective_weights();
+  const Tensor& w = effective_weights(/*training=*/true);
   const auto& active = active_flags(ctx.subnet_id);
   Tensor grad_x(x_cache_.shape());
   const std::int64_t in_plane = static_cast<std::int64_t>(geom_.in_h) * geom_.in_w;
@@ -189,24 +189,29 @@ Tensor DepthwiseConv2d::backward(const Tensor& grad_y_in,
   return grad_x;
 }
 
-Tensor DepthwiseConv2d::forward_step(const Tensor& x, const Tensor& cached_y,
-                                     int from_subnet, const SubnetContext& ctx) {
+void DepthwiseConv2d::forward_step(const Tensor& x, Tensor& y, int from,
+                                   const SubnetContext& ctx,
+                                   StepColumns* cols) {
+  (void)cols;
   assert(!ctx.training);
-  if (cached_y.empty()) return forward(x, ctx);
   const int n = x.dim(0);
   const int spatial = geom_.out_h() * geom_.out_w();
+  const std::vector<int> shape{n, units_, geom_.out_h(), geom_.out_w()};
+  if (y.shape() != shape) y = Tensor(shape);
   const Tensor& w = effective_weights();
-  Tensor y = cached_y;
   const std::int64_t in_plane = static_cast<std::int64_t>(geom_.in_h) * geom_.in_w;
   const float* b = bias_.value.data();
+  // Unit u reads input unit u only, so a joining unit reads an active input;
+  // conv_plane overwrites its plane, and no other plane is touched.
   parallel_for_cost(0, static_cast<std::int64_t>(n) * units_,
                     static_cast<std::int64_t>(spatial) * cols_,
                     [&](std::int64_t p0, std::int64_t p1) {
     for (std::int64_t p = p0; p < p1; ++p) {
       const int i = static_cast<int>(p / units_);
       const int u = static_cast<int>(p % units_);
-      const int sv = (*out_assign_)[static_cast<std::size_t>(u)];
-      if (sv <= from_subnet || sv > ctx.subnet_id) continue;
+      if (!is_head_ && !unit_joins(out_assign_.get(), u, from, ctx.subnet_id)) {
+        continue;
+      }
       const float* xp =
           x.data() + (static_cast<std::int64_t>(i) * units_ + u) * in_plane;
       float* yp =
@@ -215,8 +220,6 @@ Tensor DepthwiseConv2d::forward_step(const Tensor& x, const Tensor& cached_y,
       for (int s = 0; s < spatial; ++s) yp[s] += b[u];
     }
   });
-  if (!is_head_) mask_inactive_units(y, *out_assign_, 1, ctx.subnet_id);
-  return y;
 }
 
 }  // namespace stepping

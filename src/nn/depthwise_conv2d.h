@@ -22,8 +22,8 @@ class DepthwiseConv2d final : public MaskedLayer {
   IOSpec wire(const IOSpec& in, Rng& rng) override;
   Tensor forward(const Tensor& x, const SubnetContext& ctx) override;
   Tensor backward(const Tensor& grad_y, const SubnetContext& ctx) override;
-  Tensor forward_step(const Tensor& x, const Tensor& cached_y, int from_subnet,
-                      const SubnetContext& ctx) override;
+  void forward_step(const Tensor& x, Tensor& y, int from,
+                    const SubnetContext& ctx, StepColumns* cols) override;
   /// Same receptive-field geometry as a regular convolution (per channel).
   SpatialRegion propagate_dirty_region(const SpatialRegion& in) const override {
     return conv_dirty_out_region(geom_, in);

@@ -29,6 +29,15 @@ class CalibrationTable;
 
 class Param;
 
+/// Lowered-column cache one conv layer keeps in a ladder state: the im2col
+/// matrix of the current input in the full channel layout, zero-filled once
+/// when allocated, with the rows of input units of subnets <= `level`
+/// lowered. A step lowers only the input units joining in (level, to].
+struct StepColumns {
+  Tensor cols;
+  int level = 0;
+};
+
 /// Per-unit subnet ids, 1-based. Input image channels use 1 (present in the
 /// smallest subnet by definition).
 using Assignment = std::vector<int>;
@@ -108,17 +117,23 @@ class Layer {
   /// Consume dL/d(output), return dL/d(input), accumulate parameter grads.
   virtual Tensor backward(const Tensor& grad_y, const SubnetContext& ctx) = 0;
 
-  /// Incremental step-up evaluation (inference only): given the full input
-  /// `x` for subnet ctx.subnet_id and this layer's cached output `cached_y`
-  /// from the already-evaluated subnet `from_subnet` (< ctx.subnet_id) on the
-  /// same image, produce the output for ctx.subnet_id while reusing
-  /// cached results where the reuse invariant guarantees equality.
-  /// Default: plain recompute (correct for all layers).
-  virtual Tensor forward_step(const Tensor& x, const Tensor& cached_y,
-                              int from_subnet, const SubnetContext& ctx) {
-    (void)cached_y;
-    (void)from_subnet;
-    return forward(x, ctx);
+  /// Active-channel evaluation (inference), the one fp32 route behind
+  /// forward(), ladder steps and stream frames. Updates `y` in place so that
+  /// every output unit active at ctx.subnet_id holds its value, computing
+  /// only the units joining in (from, ctx.subnet_id] — every active unit
+  /// when from == 0 — and reading only input units active at
+  /// ctx.subnet_id. Units outside the joining set are never written, so `y`
+  /// may carry values of a larger subnet on the same input (after a step
+  /// down) or of an earlier input in channels no consumer reads at this
+  /// level. `y` is reallocated zero-filled when its shape does not fit.
+  /// `cols`, when non-null, is this layer's lowered-column cache in a ladder
+  /// state (used by Conv2d; from == 0 marks a new input).
+  /// Default: plain recompute (correct for layers that do not mix units).
+  virtual void forward_step(const Tensor& x, Tensor& y, int from,
+                            const SubnetContext& ctx, StepColumns* cols) {
+    (void)from;
+    (void)cols;
+    y = forward(x, ctx);
   }
 
   // ---- Streaming delta inference (ISSUE 10) ------------------------------
@@ -153,16 +168,16 @@ class Layer {
   virtual bool supports_spatial_delta() const { return false; }
 
   /// Recompute only `out_region` of this layer's output for the new input
-  /// `x`, reusing `cached_y` — the layer's full output for the PREVIOUS
-  /// frame at the same subnet level — everywhere else. `out_region` must
-  /// come from propagate_dirty_region() of the input's dirty rect, and the
-  /// result must be bitwise identical to forward(x, ctx). Inference only.
-  virtual Tensor forward_delta(const Tensor& x, const Tensor& cached_y,
-                               const SpatialRegion& out_region,
-                               const SubnetContext& ctx) {
-    (void)cached_y;
+  /// `x`, in place in `y` — the layer's output for the PREVIOUS frame at the
+  /// same subnet level — which keeps its bits everywhere else. `out_region`
+  /// must come from propagate_dirty_region() of the input's dirty rect, and
+  /// the active units of `y` must end bitwise identical to forward(x, ctx).
+  /// Inference only. Default: the active-channel full-plane recompute.
+  virtual void forward_delta(const Tensor& x, Tensor& y,
+                             const SpatialRegion& out_region,
+                             const SubnetContext& ctx) {
     (void)out_region;
-    return forward(x, ctx);
+    forward_step(x, y, 0, ctx, nullptr);
   }
 
   virtual std::vector<Param*> params() { return {}; }
@@ -182,7 +197,7 @@ class Layer {
   virtual std::unique_ptr<Layer> clone() const = 0;
 
   /// Output spec recorded by Network::wire() (shape + governing assignment);
-  /// consumers like the incremental executor use it to mask cached outputs.
+  /// the stream executor reads its extents to clip dirty regions.
   const IOSpec& out_spec() const { return out_spec_; }
   void set_out_spec(IOSpec spec) { out_spec_ = std::move(spec); }
 
@@ -192,8 +207,36 @@ class Layer {
 
 /// Zero all positions of `t` whose unit has s(unit) > subnet_id.
 /// For rank-4 tensors a unit is a channel; for rank-2, a feature group of
-/// `features_per_unit` consecutive columns.
+/// `features_per_unit` consecutive columns. Training only (gradient rows);
+/// inference never writes inactive units in the first place.
 void mask_inactive_units(Tensor& t, const Assignment& assignment,
                          int features_per_unit, int subnet_id);
+
+/// True iff unit `u` joins in (from, to]: from < s(u) <= to. A null
+/// assignment means every unit is in subnet 1.
+inline bool unit_joins(const Assignment* assignment, int u, int from, int to) {
+  const int s =
+      assignment != nullptr ? (*assignment)[static_cast<std::size_t>(u)] : 1;
+  return s > from && s <= to;
+}
+
+/// Call f(u0, u1) for each maximal run [u0, u1) of consecutive units among
+/// the first `units` that join in (from, to]. A subnet laid out as a channel
+/// prefix gives one run per step.
+template <typename F>
+void for_each_unit_run(const Assignment* assignment, int units, int from,
+                       int to, F&& f) {
+  int u = 0;
+  while (u < units) {
+    if (!unit_joins(assignment, u, from, to)) {
+      ++u;
+      continue;
+    }
+    int v = u + 1;
+    while (v < units && unit_joins(assignment, v, from, to)) ++v;
+    f(u, v);
+    u = v;
+  }
+}
 
 }  // namespace stepping

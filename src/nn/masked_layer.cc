@@ -208,13 +208,17 @@ void MaskedLayer::activate_lr_scale(int k) {
   bias_.elem_lr_scale = &bias_lr_scale_[static_cast<std::size_t>(k - 1)];
 }
 
-const Tensor& MaskedLayer::effective_weights() {
-  // Recomputed on every call: weight values change on every optimizer step
-  // and masks change during construction, and neither path can be trusted to
-  // invalidate a cache; one masked copy per forward is cheap at these sizes.
-  //
-  // The pack-cache identity, by contrast, must only change when the bytes
-  // do: while rewriting we bit-compare old vs new (memcpy through uint32 so
+const Tensor& MaskedLayer::effective_weights(bool training) {
+  // Cached masked copy (see the header for the invalidation list). The
+  // assignment snapshots are a few dozen ints, far cheaper than re-masking.
+  if (!training && !weights_dirty_ && pack_id_ != 0 &&
+      seen_weight_version_ == weight_.version &&
+      seen_out_assign_ == *out_assign_ && seen_in_assign_ == *in_assign_ &&
+      w_eff_.shape() == weight_.value.shape()) {
+    return w_eff_;
+  }
+  // The pack-cache identity must only change when the bytes do: while
+  // rewriting we bit-compare old vs new (memcpy through uint32 so
   // ±0 and NaN payloads count as changes — exactly what a packed-byte cache
   // cares about) and draw a fresh pack_id when anything differed. (The ISA
   // tier is NOT part of this identity — panel layout varies with the tier's
@@ -245,8 +249,32 @@ const Tensor& MaskedLayer::effective_weights() {
     pack_id_ = new_pack_id();
   }
   seen_weight_version_ = weight_.version;
+  seen_out_assign_ = *out_assign_;
+  seen_in_assign_ = *in_assign_;
   weights_dirty_ = false;
   return w_eff_;
+}
+
+void MaskedLayer::joining_rows(int from, int to,
+                               std::vector<unsigned char>& flags, int* r0,
+                               int* r1) const {
+  flags.assign(static_cast<std::size_t>(units_), 0);
+  *r0 = units_;
+  *r1 = 0;
+  for (int u = 0; u < units_; ++u) {
+    if (!is_head_ && !unit_joins(out_assign_.get(), u, from, to)) continue;
+    flags[static_cast<std::size_t>(u)] = 1;
+    if (u < *r0) *r0 = u;
+    *r1 = u + 1;
+  }
+  if (*r1 <= *r0) *r0 = *r1 = 0;
+}
+
+int MaskedLayer::input_units_end(int to) const {
+  for (int c = static_cast<int>(in_assign_->size()); c > 0; --c) {
+    if ((*in_assign_)[static_cast<std::size_t>(c - 1)] <= to) return c;
+  }
+  return 0;
 }
 
 const std::vector<std::uint8_t>& MaskedLayer::active_flags(int subnet_id) {

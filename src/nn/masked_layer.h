@@ -12,9 +12,9 @@
 //  * prune mask       — unstructured magnitude pruning, non-permanent: the
 //    underlying weight keeps receiving gradient updates and revives when its
 //    unit moves (paper §III-A1);
-//  * subnet selection — units with s(v) > subnet_id are zeroed post-forward
-//    (their weights stay in the effective buffer; zeroing the output row is
-//    equivalent and cheaper).
+//  * subnet selection — units with s(v) > subnet_id are simply not computed:
+//    the active-channel route runs the GEMM over the active (or joining)
+//    output rows only and contracts over the active input units only.
 #pragma once
 
 #include <cstdint>
@@ -138,9 +138,30 @@ class MaskedLayer : public Layer {
                       std::int64_t macs_per_weight, AssignmentPtr in_assign,
                       Rng& rng, int fan_in);
 
-  /// Effective weights (value * structural mask * prune mask); refreshed
-  /// lazily. Subclasses use this in forward.
-  const Tensor& effective_weights();
+  /// Effective weights: value * structural mask * prune mask, one masked
+  /// copy cached across calls. At inference the copy is rebuilt only when
+  /// something it depends on changed: weight_.version (bumped by SGD::step
+  /// and deserialization — code writing weight values in place must bump
+  /// it too), the prune mask or set_head (mark_weights_dirty), this layer's
+  /// own assignment, or its input assignment. Both assignments are compared
+  /// against snapshots, because the input assignment is shared with the
+  /// producer layer (core::Mover can move a producer unit without this layer
+  /// seeing it) and the own assignment is reachable through
+  /// unit_subnet_ptr(). Training passes rebuild on every call, since
+  /// weights change every step and gradient checks perturb them in place.
+  /// pack_id() changes exactly when the rebuilt bytes differ.
+  const Tensor& effective_weights(bool training = false);
+
+  /// Output rows a pass over (from, to] computes: units joining in
+  /// (from, to], or every unit of a head (recomputed at each level). Fills
+  /// `flags` (units_ entries) and returns the row span [*r0, *r1) covering
+  /// the set (r0 == r1 when empty).
+  void joining_rows(int from, int to, std::vector<unsigned char>& flags,
+                    int* r0, int* r1) const;
+
+  /// One past the last input unit active at subnet `to`: the contraction
+  /// of a pass at `to` stops at its column group.
+  int input_units_end(int to) const;
 
   /// Per-unit activity flags for the executing subnet (1 = compute this
   /// unit). Heads are always fully active. Returns a scratch buffer valid
@@ -177,6 +198,8 @@ class MaskedLayer : public Layer {
   bool weights_dirty_ = true;
   std::uint64_t pack_id_ = 0;  ///< cache identity of w_eff_'s current bytes
   std::uint64_t seen_weight_version_ = 0;  ///< weight_.version at last refresh
+  Assignment seen_out_assign_;  ///< *out_assign_ at last refresh
+  Assignment seen_in_assign_;   ///< *in_assign_ at last refresh
   std::vector<std::uint8_t> active_flags_;  // scratch for active_flags()
 
   std::vector<std::vector<double>> imp_acc_;

@@ -1,6 +1,7 @@
 #include "nn/simple_layers.h"
 
 #include <cassert>
+#include <cstring>
 #include <stdexcept>
 
 #include "tensor/ops.h"
@@ -13,6 +14,8 @@ namespace stepping {
 
 IOSpec ReLU::wire(const IOSpec& in, Rng& rng) {
   (void)rng;
+  assignment_ = in.assignment;
+  units_ = in.units;
   return in;
 }
 
@@ -21,10 +24,20 @@ Tensor ReLU::forward(const Tensor& x, const SubnetContext& ctx) {
   if (ctx.training) {
     relu_forward(x, y, mask_);
   } else {
-    std::vector<unsigned char> scratch;
-    relu_forward(x, y, scratch);
+    y = Tensor(x.shape());  // zero-filled; inactive units stay zero
+    forward_step(x, y, 0, ctx, nullptr);
   }
   return y;
+}
+
+void ReLU::forward_step(const Tensor& x, Tensor& y, int from,
+                        const SubnetContext& ctx, StepColumns* cols) {
+  (void)cols;
+  if (y.shape() != x.shape()) y = Tensor(x.shape());
+  // An unwired ReLU has no unit structure: the whole row is one unit.
+  const int units = units_ > 0 ? units_ : 1;
+  for_each_unit_run(assignment_.get(), units, from, ctx.subnet_id,
+                    [&](int u0, int u1) { relu_units(x, y, units, u0, u1); });
 }
 
 Tensor ReLU::backward(const Tensor& grad_y, const SubnetContext& ctx) {
@@ -47,15 +60,30 @@ IOSpec MaxPool2d::wire(const IOSpec& in, Rng& rng) {
   IOSpec out = in;
   out.h = in.h / k_;
   out.w = in.w / k_;
+  assignment_ = in.assignment;
   return out;
 }
 
 Tensor MaxPool2d::forward(const Tensor& x, const SubnetContext& ctx) {
-  (void)ctx;
-  in_shape_ = x.shape();
   Tensor y;
-  maxpool_forward(x, k_, y, argmax_);
+  if (ctx.training) {
+    in_shape_ = x.shape();
+    maxpool_forward(x, k_, y, argmax_);
+  } else {
+    forward_step(x, y, 0, ctx, nullptr);
+  }
   return y;
+}
+
+void MaxPool2d::forward_step(const Tensor& x, Tensor& y, int from,
+                             const SubnetContext& ctx, StepColumns* cols) {
+  (void)cols;
+  assert(x.rank() == 4);
+  const std::vector<int> shape{x.dim(0), x.dim(1), x.dim(2) / k_,
+                               x.dim(3) / k_};
+  if (y.shape() != shape) y = Tensor(shape);
+  for_each_unit_run(assignment_.get(), x.dim(1), from, ctx.subnet_id,
+                    [&](int c0, int c1) { maxpool_channels(x, k_, y, c0, c1); });
 }
 
 Tensor MaxPool2d::backward(const Tensor& grad_y, const SubnetContext& ctx) {
@@ -77,16 +105,39 @@ IOSpec Flatten::wire(const IOSpec& in, Rng& rng) {
   out.features_per_unit = in.h * in.w;
   out.flat = true;
   out.assignment = in.assignment;
+  assignment_ = in.assignment;
   return out;
 }
 
 Tensor Flatten::forward(const Tensor& x, const SubnetContext& ctx) {
-  (void)ctx;
   assert(x.rank() == 4);
-  in_shape_ = x.shape();
   const int n = x.dim(0);
   const int f = static_cast<int>(x.numel() / n);
+  in_shape_ = x.shape();
+  if (!ctx.training) {
+    Tensor y({n, f});  // zero-filled; inactive units stay zero
+    forward_step(x, y, 0, ctx, nullptr);
+    return y;
+  }
   return x.reshaped({n, f});
+}
+
+void Flatten::forward_step(const Tensor& x, Tensor& y, int from,
+                           const SubnetContext& ctx, StepColumns* cols) {
+  (void)cols;
+  assert(x.rank() == 4);
+  const int n = x.dim(0), c = x.dim(1);
+  const std::int64_t per = static_cast<std::int64_t>(x.dim(2)) * x.dim(3);
+  const std::vector<int> shape{n, static_cast<int>(c * per)};
+  if (y.shape() != shape) y = Tensor(shape);
+  for_each_unit_run(assignment_.get(), c, from, ctx.subnet_id,
+                    [&](int u0, int u1) {
+    for (int i = 0; i < n; ++i) {
+      const std::int64_t off = (static_cast<std::int64_t>(i) * c + u0) * per;
+      std::memcpy(y.data() + off, x.data() + off,
+                  sizeof(float) * static_cast<std::size_t>((u1 - u0) * per));
+    }
+  });
 }
 
 Tensor Flatten::backward(const Tensor& grad_y, const SubnetContext& ctx) {

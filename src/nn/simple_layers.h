@@ -1,9 +1,10 @@
 // Parameterless layers: ReLU, MaxPool2d, Flatten.
 //
 // None of these mix channels, so they preserve the subnet reuse invariant
-// untouched: an inactive (zeroed) channel stays zero through ReLU and
-// MaxPool, and Flatten only reinterprets the feature axis, forwarding the
-// producer's assignment at `features_per_unit = H*W` granularity.
+// untouched: at inference each writes only the units joining the executed
+// level (forward_step) and keeps no ReLU mask or pool argmax, and Flatten
+// only reinterprets the feature axis, forwarding the producer's assignment
+// at `features_per_unit = H*W` granularity.
 #pragma once
 
 #include <vector>
@@ -19,6 +20,8 @@ class ReLU final : public Layer {
   IOSpec wire(const IOSpec& in, Rng& rng) override;
   Tensor forward(const Tensor& x, const SubnetContext& ctx) override;
   Tensor backward(const Tensor& grad_y, const SubnetContext& ctx) override;
+  void forward_step(const Tensor& x, Tensor& y, int from,
+                    const SubnetContext& ctx, StepColumns* cols) override;
   bool is_relu() const override { return true; }
   /// Elementwise: a dirty input element dirties exactly itself.
   SpatialRegion propagate_dirty_region(const SpatialRegion& in) const override {
@@ -30,6 +33,8 @@ class ReLU final : public Layer {
 
  private:
   std::string name_;
+  AssignmentPtr assignment_;
+  int units_ = 0;
   std::vector<unsigned char> mask_;
 };
 
@@ -40,6 +45,8 @@ class MaxPool2d final : public Layer {
   IOSpec wire(const IOSpec& in, Rng& rng) override;
   Tensor forward(const Tensor& x, const SubnetContext& ctx) override;
   Tensor backward(const Tensor& grad_y, const SubnetContext& ctx) override;
+  void forward_step(const Tensor& x, Tensor& y, int from,
+                    const SubnetContext& ctx, StepColumns* cols) override;
   /// Non-overlapping kxk window, stride k: output (r, c) reads input
   /// [r*k, r*k + k) x [c*k, c*k + k), so dirty input [i0, i1) maps to
   /// output [i0 / k, ceil(i1 / k)).
@@ -56,6 +63,7 @@ class MaxPool2d final : public Layer {
  private:
   std::string name_;
   int k_;
+  AssignmentPtr assignment_;
   std::vector<int> argmax_;
   std::vector<int> in_shape_;
 };
@@ -67,12 +75,16 @@ class Flatten final : public Layer {
   IOSpec wire(const IOSpec& in, Rng& rng) override;
   Tensor forward(const Tensor& x, const SubnetContext& ctx) override;
   Tensor backward(const Tensor& grad_y, const SubnetContext& ctx) override;
+  /// Copies the feature groups of the units joining in (from, to].
+  void forward_step(const Tensor& x, Tensor& y, int from,
+                    const SubnetContext& ctx, StepColumns* cols) override;
   std::unique_ptr<Layer> clone() const override {
     return std::make_unique<Flatten>(*this);
   }
 
  private:
   std::string name_;
+  AssignmentPtr assignment_;
   std::vector<int> in_shape_;
 };
 

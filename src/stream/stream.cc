@@ -6,25 +6,9 @@
 #include "nn/param.h"
 #include "obs/trace.h"
 #include "util/env.h"
+#include "util/fingerprint.h"
 
 namespace stepping::stream {
-
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-inline std::uint64_t fnv1a_fold(std::uint64_t h, const float* v, int n) {
-  const unsigned char* p = reinterpret_cast<const unsigned char*>(v);
-  const std::size_t bytes = sizeof(float) * static_cast<std::size_t>(n);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-}  // namespace
 
 StreamConfig stream_config_from_env() {
   StreamConfig cfg;
@@ -49,7 +33,7 @@ void tile_fingerprints(const Tensor& x, int tile,
   const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const int gh = (h + tile - 1) / tile;
   const int gw = (w + tile - 1) / tile;
-  grid.assign(static_cast<std::size_t>(gh) * gw, kFnvOffset);
+  grid.assign(static_cast<std::size_t>(gh) * gw, kFingerprintSeed);
   const float* base = x.data();
   for (int i = 0; i < n; ++i) {
     for (int ch = 0; ch < c; ++ch) {
@@ -62,7 +46,8 @@ void tile_fingerprints(const Tensor& x, int tile,
         for (int tc = 0; tc < gw; ++tc) {
           const int c0 = tc * tile;
           const int c1 = std::min(w, c0 + tile);
-          tile_row[tc] = fnv1a_fold(tile_row[tc], row + c0, c1 - c0);
+          tile_row[tc] = fingerprint_fold(tile_row[tc], row + c0,
+                                          static_cast<std::size_t>(c1 - c0));
         }
       }
     }
@@ -182,13 +167,13 @@ SpatialRegion diff_tiles(const std::vector<std::uint64_t>& prev,
   return r.clipped(h, w);
 }
 
-/// One exact delta pass at st.level: walk the layers threading the dirty
-/// region; conv layers splice recomputed rectangles into their cached
-/// outputs, every other layer re-runs its plain forward on the (exact)
-/// spliced input. Region tracking stops at the first flat output (Flatten /
-/// Dense) — from there the whole activation is treated as dirty anyway.
-/// Returns analytic MACs executed; st.layer_outputs become frame t+1's
-/// ladder at st.level.
+/// One exact delta pass at st.level, in place over st.layer_outputs: walk
+/// the layers threading the dirty region; conv layers splice recomputed
+/// rectangles into their cached outputs, every other layer re-runs its
+/// active-channel pass on the (exact) spliced input. Region tracking stops
+/// at the first flat output (Flatten / Dense) — from there the whole
+/// activation is treated as dirty anyway. Returns analytic MACs executed;
+/// st.layer_outputs become frame t+1's ladder at st.level.
 std::int64_t delta_pass(Network& net, StreamState& st, const Tensor& x,
                         SpatialRegion region) {
   SubnetContext ctx;
@@ -199,33 +184,32 @@ std::int64_t delta_pass(Network& net, StreamState& st, const Tensor& x,
   assert(st.layer_outputs.size() == layers.size());
   std::int64_t macs = 0;
   bool tracked = true;
-  Tensor cur = x;
+  const Tensor* cur = &x;
   for (std::size_t i = 0; i < layers.size(); ++i) {
     Layer* layer = layers[i].get();
     auto* masked = dynamic_cast<MaskedLayer*>(layer);
-    Tensor out;
+    Tensor& out = st.layer_outputs[i];
+    bool delta = false;
     if (tracked) {
       const IOSpec& spec = layer->out_spec();
       const SpatialRegion out_region =
           layer->propagate_dirty_region(region).clipped(spec.h, spec.w);
-      if (layer->supports_spatial_delta() && !st.layer_outputs[i].empty() &&
-          !out_region.covers(spec.h, spec.w)) {
-        out = layer->forward_delta(cur, st.layer_outputs[i], out_region, ctx);
+      delta = layer->supports_spatial_delta() && !out.empty() &&
+              !out_region.covers(spec.h, spec.w);
+      if (delta) {
+        layer->forward_delta(*cur, out, out_region, ctx);
         // Delta conv cost: active weights x recomputed positions (the full
         // layer is active_weights x out_h*out_w == subnet_macs).
         if (masked) macs += masked->active_weights(st.level) * out_region.area();
-      } else {
-        out = layer->forward(cur, ctx);
-        if (masked) macs += masked->subnet_macs(st.level);
       }
       region = out_region;
       if (spec.flat) tracked = false;
-    } else {
-      out = layer->forward(cur, ctx);
+    }
+    if (!delta) {
+      layer->forward_step(*cur, out, 0, ctx, nullptr);
       if (masked) macs += masked->subnet_macs(st.level);
     }
-    st.layer_outputs[i] = out;
-    cur = std::move(out);
+    cur = &out;
   }
   st.logits = st.layer_outputs.back();
   return macs;
@@ -259,7 +243,8 @@ StreamResult stream_delta_forward(Network& net, StreamState& st,
 
   if (!reusable) {
     res.cold = true;
-    for (auto& t : st.layer_outputs) t = Tensor();
+    // The buffers are rebuilt in place: a cold pass writes every unit active
+    // at `level`, and no consumer reads the others.
     st.logits = ladder_step(net, x, st.layer_outputs, 0, level);
     res.macs = res.full_macs;
   } else {

@@ -61,9 +61,9 @@ StreamConfig stream_config_from_env();
 /// versions verbatim, so replicas of one model agree.
 std::vector<std::uint64_t> network_signature(Network& net);
 
-/// Per-tile FNV-1a fingerprints of a (N, C, H, W) frame: one 64-bit hash per
-/// spatial tile, folded across all images and channels. Grid is
-/// ceil(H/tile) x ceil(W/tile), row-major.
+/// Per-tile fingerprints (util/fingerprint.h) of a (N, C, H, W) frame: one
+/// 64-bit hash per spatial tile, folded across all images and channels.
+/// Grid is ceil(H/tile) x ceil(W/tile), row-major.
 void tile_fingerprints(const Tensor& x, int tile,
                        std::vector<std::uint64_t>& grid);
 
@@ -74,7 +74,7 @@ void tile_fingerprints(const Tensor& x, int tile,
 struct StreamState {
   std::mutex mu;
   std::vector<int> in_shape;            ///< frame shape the state matches
-  std::vector<std::uint64_t> tiles;     ///< per-tile FNV-1a grid
+  std::vector<std::uint64_t> tiles;     ///< per-tile fingerprint grid
   std::vector<std::uint64_t> signature; ///< network_signature at build time
   int tile = 0;                         ///< tile size the grid was built with
   int level = 0;                        ///< cached subnet level (0 = empty)

@@ -170,7 +170,8 @@ void fb_gemm_tn_rows(const float* pat, const float* pb, float* pc, int m,
 template <class M>
 void fb_gemm_nt_cols_bias(const float* pa, const float* pbt, float* pc, int m,
                           int k, int n, const unsigned char* col_active,
-                          const float* bias, bool relu) {
+                          const float* bias, bool relu, int ldb) {
+  const std::size_t bstride = static_cast<std::size_t>(ldb > 0 ? ldb : k);
   parallel_for_cost(0, m, static_cast<std::int64_t>(k) * n,
                     [&](std::int64_t i0, std::int64_t i1) {
     for (std::int64_t i = i0; i < i1; ++i) {
@@ -178,7 +179,7 @@ void fb_gemm_nt_cols_bias(const float* pa, const float* pbt, float* pc, int m,
       float* crow = pc + static_cast<std::size_t>(i) * n;
       for (int j = 0; j < n; ++j) {
         if (!col_active[j]) continue;
-        const float* btrow = pbt + static_cast<std::size_t>(j) * k;
+        const float* btrow = pbt + static_cast<std::size_t>(j) * bstride;
         float acc = 0.0f;
         for (int p = 0; p < k; ++p) acc = M::madd(arow[p], btrow[p], acc);
         float v = crow[j] + acc;
@@ -193,12 +194,13 @@ void fb_gemm_nt_cols_bias(const float* pa, const float* pbt, float* pc, int m,
 template <class M>
 void fb_gemm_rows_bias(const float* pa, const float* pb, float* pc, int m,
                        int k, int n, const unsigned char* row_active,
-                       const float* bias, bool relu) {
+                       const float* bias, bool relu, int lda) {
+  const std::size_t astride = static_cast<std::size_t>(lda > 0 ? lda : k);
   parallel_for_cost(0, m, static_cast<std::int64_t>(k) * n,
                     [&](std::int64_t i0, std::int64_t i1) {
     for (std::int64_t i = i0; i < i1; ++i) {
       if (!row_active[i]) continue;
-      const float* arow = pa + static_cast<std::size_t>(i) * k;
+      const float* arow = pa + static_cast<std::size_t>(i) * astride;
       float* crow = pc + static_cast<std::size_t>(i) * n;
       for (int p = 0; p < k; ++p) {
         const float av = arow[p];

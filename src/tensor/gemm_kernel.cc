@@ -62,6 +62,50 @@ obs::Counter& packs_performed() {
   return c;
 }
 
+// Executed-work counters (deterministic, unlike wall-clock): bytes written
+// into packed B panels, and multiply-adds actually dispatched — after the
+// axpy family's exact-zero skip and every row/column/contraction mask.
+obs::Counter& pack_bytes() {
+  static obs::Counter& c =
+      obs::Registry::global().counter("stepping_gemm_pack_bytes_total");
+  return c;
+}
+
+obs::Counter& madds_dispatched() {
+  static obs::Counter& c =
+      obs::Registry::global().counter("stepping_gemm_madds_total");
+  return c;
+}
+
+/// Axpy-family terms a call executes: nonzero A entries of the active rows
+/// (and active contraction rows) times n. Only the fallback route needs this
+/// separate scan; the blocked path counts its compacted terms for free.
+std::uint64_t axpy_madds(const float* a, int m, int k, int n, int lda,
+                         bool atrans, const unsigned char* rmask,
+                         const unsigned char* kmask) {
+  std::uint64_t terms = 0;
+  for (int i = 0; i < m; ++i) {
+    if (rmask != nullptr && rmask[i] == 0) continue;
+    for (int p = 0; p < k; ++p) {
+      if (kmask != nullptr && kmask[p] == 0) continue;
+      const float av = atrans ? a[static_cast<std::size_t>(p) * m + i]
+                              : a[static_cast<std::size_t>(i) * lda + p];
+      if (av != 0.0f) ++terms;
+    }
+  }
+  return terms * static_cast<std::uint64_t>(n);
+}
+
+/// Dot-family multiply-adds: no zero skip, so active rows x active columns
+/// x the full contraction.
+std::uint64_t dot_madds(int m, int k, int n, const unsigned char* rmask,
+                        const unsigned char* cmask) {
+  std::uint64_t rows = 0, cols = 0;
+  for (int i = 0; i < m; ++i) rows += (rmask == nullptr || rmask[i] != 0);
+  for (int j = 0; j < n; ++j) cols += (cmask == nullptr || cmask[j] != 0);
+  return rows * cols * static_cast<std::uint64_t>(k);
+}
+
 obs::Counter& packcache_hits() {
   static obs::Counter& c =
       obs::Registry::global().counter("stepping_packcache_hits_total");
@@ -284,7 +328,8 @@ void gemm_tn_rows(const float* pat, const float* pb, float* pc, int m, int k,
 
 void gemm_nt_cols_bias(const float* pa, const float* pbt, float* pc, int m,
                        int k, int n, const unsigned char* col_active,
-                       const float* bias, bool relu) {
+                       const float* bias, bool relu, int ldb) {
+  const std::size_t bstride = static_cast<std::size_t>(ldb > 0 ? ldb : k);
   parallel_for_cost(0, m, static_cast<std::int64_t>(k) * n,
                     [&](std::int64_t i0, std::int64_t i1) {
     for (std::int64_t i = i0; i < i1; ++i) {
@@ -292,7 +337,7 @@ void gemm_nt_cols_bias(const float* pa, const float* pbt, float* pc, int m,
       float* crow = pc + static_cast<std::size_t>(i) * n;
       for (int j = 0; j < n; ++j) {
         if (!col_active[j]) continue;
-        const float* btrow = pbt + static_cast<std::size_t>(j) * k;
+        const float* btrow = pbt + static_cast<std::size_t>(j) * bstride;
         float acc = 0.0f;
         for (int p = 0; p < k; ++p) acc += arow[p] * btrow[p];
         float v = crow[j] + acc;
@@ -306,12 +351,13 @@ void gemm_nt_cols_bias(const float* pa, const float* pbt, float* pc, int m,
 
 void gemm_rows_bias(const float* pa, const float* pb, float* pc, int m, int k,
                     int n, const unsigned char* row_active, const float* bias,
-                    bool relu) {
+                    bool relu, int lda) {
+  const std::size_t astride = static_cast<std::size_t>(lda > 0 ? lda : k);
   parallel_for_cost(0, m, static_cast<std::int64_t>(k) * n,
                     [&](std::int64_t i0, std::int64_t i1) {
     for (std::int64_t i = i0; i < i1; ++i) {
       if (!row_active[i]) continue;
-      const float* arow = pa + static_cast<std::size_t>(i) * k;
+      const float* arow = pa + static_cast<std::size_t>(i) * astride;
       float* crow = pc + static_cast<std::size_t>(i) * n;
       for (int p = 0; p < k; ++p) {
         const float av = arow[p];
@@ -344,14 +390,14 @@ constexpr int kMR = kGemmMR;
 /// out[q * bk * nr + p * nr + jr] holds B(pc+p, jc+q*nr+jr), zero-padded
 /// past the last column. BTrans reads the transposed operand Bt (n x k).
 /// `nr` is the active ISA tier's panel width (runtime since ISSUE 6).
+/// `ld` is the source's row stride: B's (n_dim for a dense B) or Bt's (k_dim
+/// for a dense Bt, wider when contracting over a leading column range).
 /// Panel contents depend only on B and nr, never on the partition, so
 /// parallel packing is deterministic.
 template <bool BTrans>
-void pack_b_block(const float* b, int k_dim, int n_dim, int pc, int jc, int bk,
-                  int bn, int nr, float* out) {
+void pack_b_block(const float* b, int ld, int pc, int jc, int bk, int bn,
+                  int nr, float* out) {
   STEPPING_TRACE_SCOPE_CAT("kernel", "gemm.pack");
-  (void)k_dim;
-  (void)n_dim;
   const int panels = (bn + nr - 1) / nr;
   parallel_for_cost(0, panels, static_cast<std::int64_t>(bk) * nr,
                     [&](std::int64_t q0, std::int64_t q1) {
@@ -361,7 +407,7 @@ void pack_b_block(const float* b, int k_dim, int n_dim, int pc, int jc, int bk,
       float* dst = out + static_cast<std::size_t>(q) * bk * nr;
       if constexpr (!BTrans) {
         for (int p = 0; p < bk; ++p) {
-          const float* src = b + static_cast<std::size_t>(pc + p) * n_dim + j0;
+          const float* src = b + static_cast<std::size_t>(pc + p) * ld + j0;
           int jr = 0;
           for (; jr < w; ++jr) dst[jr] = src[jr];
           for (; jr < nr; ++jr) dst[jr] = 0.0f;
@@ -370,7 +416,7 @@ void pack_b_block(const float* b, int k_dim, int n_dim, int pc, int jc, int bk,
       } else {
         // Bt is (n x k): read column j0+jr of B contiguously from Bt's row.
         for (int jr = 0; jr < w; ++jr) {
-          const float* src = b + static_cast<std::size_t>(j0 + jr) * k_dim + pc;
+          const float* src = b + static_cast<std::size_t>(j0 + jr) * ld + pc;
           for (int p = 0; p < bk; ++p) dst[p * nr + jr] = src[p];
         }
         for (int jr = w; jr < nr; ++jr) {
@@ -380,6 +426,7 @@ void pack_b_block(const float* b, int k_dim, int n_dim, int pc, int jc, int bk,
     }
   });
   packs_performed().inc();
+  pack_bytes().inc(static_cast<std::uint64_t>(panels) * bk * nr * sizeof(float));
 }
 
 // ---------------------------------------------------------------------------
@@ -503,7 +550,8 @@ std::atomic<long>& pack_limit_slot() {
 /// deterministic offset with the same pack_b_block the uncached path uses,
 /// so cached and uncached panels are byte-identical.
 PackedBuffer acquire_packed(std::uint64_t pack_id, const float* bt, int k,
-                            int n, int nc, int nr, IsaTier tier, bool* hit) {
+                            int ldb, int n, int nc, int nr, IsaTier tier,
+                            bool* hit) {
   const long limit_mb = pack_cache_limit_mb();
   if (limit_mb <= 0) return nullptr;
   const PackKey key{pack_id, k, n, nc, static_cast<int>(tier), /*kind=*/0};
@@ -524,7 +572,7 @@ PackedBuffer acquire_packed(std::uint64_t pack_id, const float* bt, int k,
   std::size_t off = 0;
   for (int jc = 0; jc < n; jc += nc) {
     const int bn = std::min(nc, n - jc);
-    pack_b_block<true>(bt, k, n, 0, jc, k, bn, nr, buf->data() + off);
+    pack_b_block<true>(bt, ldb, 0, jc, k, bn, nr, buf->data() + off);
     off += static_cast<std::size_t>((bn + nr - 1) / nr) * nr *
            static_cast<std::size_t>(k);
   }
@@ -546,7 +594,7 @@ void blocked_run(const float* a, const float* b, float* c, int m, int k, int n,
                  const unsigned char* rmask, const unsigned char* cmask,
                  const unsigned char* kmask, const GemmBlocking& cfg,
                  const float* bias = nullptr, bool relu = false,
-                 std::uint64_t pack_id = 0) {
+                 std::uint64_t pack_id = 0, int lda = 0, int ldb = 0) {
   obs::TraceScope span("gemm.blocked", "kernel");
   const microkernel::KernelTable& kt = microkernel::active_table();
   const int nr = kt.nr;
@@ -555,6 +603,14 @@ void blocked_run(const float* a, const float* b, float* c, int m, int k, int n,
   // Dot-family contraction is never chunked: accumulators must span the
   // full k so C sees exactly one update (determinism contract).
   const int kc = (F == Fam::kDot) ? k : std::max(1, std::min(cfg.kc, k));
+  // Row strides: A (untransposed) defaults to k, a transposed Bt to k, a
+  // plain B to n. The transposed-A case keeps its fixed m stride.
+  if (lda <= 0) lda = k;
+  if (ldb <= 0) ldb = (F == Fam::kDot) ? k : n;
+  if constexpr (F == Fam::kDot) {
+    madds_dispatched().inc(dot_madds(m, k, n, RowMask ? rmask : nullptr,
+                                     ColMask ? cmask : nullptr));
+  }
 
   // Persistent packed-weight cache (dot family only: its packed layout is
   // chunk-free, one contiguous run of NC blocks). Cached panels are the
@@ -564,7 +620,8 @@ void blocked_run(const float* a, const float* b, float* c, int m, int k, int n,
   PackedBuffer cached;
   if constexpr (F == Fam::kDot) {
     if (pack_id != 0) {
-      cached = acquire_packed(pack_id, b, k, n, nc, nr, kt.tier, &cache_hit);
+      cached = acquire_packed(pack_id, b, k, ldb, n, nc, nr, kt.tier,
+                              &cache_hit);
     }
   }
   span.arg("m", m);
@@ -595,7 +652,7 @@ void blocked_run(const float* a, const float* b, float* c, int m, int k, int n,
       if (cached != nullptr) {
         packed = cached->data() + block_off;  // dot family: bk == k
       } else {
-        pack_b_block<F == Fam::kDot>(b, k, n, pc, jc, bk, bn, nr, pack);
+        pack_b_block<F == Fam::kDot>(b, ldb, pc, jc, bk, bn, nr, pack);
         packed = pack;
       }
       // Fused epilogue fires on the chunk that completes the contraction
@@ -613,6 +670,7 @@ void blocked_run(const float* a, const float* b, float* c, int m, int k, int n,
         float* vals = nullptr;
         int* idxs = nullptr;
         int* nnz = nullptr;
+        std::uint64_t terms = 0;  // compacted axpy terms (madds / bn)
         if constexpr (F == Fam::kAxpy) {
           vals = ws.alloc_floats(static_cast<std::size_t>(mc) * bk);
           idxs = static_cast<int*>(
@@ -639,13 +697,14 @@ void blocked_run(const float* a, const float* b, float* c, int m, int k, int n,
                 }
                 const float av =
                     ATrans ? a[static_cast<std::size_t>(pc + p) * m + i]
-                           : a[static_cast<std::size_t>(i) * k + pc + p];
+                           : a[static_cast<std::size_t>(i) * lda + pc + p];
                 if (av == 0.0f) continue;  // the reference's masked skip
                 vrow[t] = av;
                 irow[t] = p;
                 ++t;
               }
               nnz[r] = t;
+              terms += static_cast<std::uint64_t>(t);
             }
             int q = 0;
             for (; q + 1 < panels; q += 2) {
@@ -693,6 +752,9 @@ void blocked_run(const float* a, const float* b, float* c, int m, int k, int n,
                      ebias, relu);
             }
           }
+        }
+        if (terms != 0) {
+          madds_dispatched().inc(terms * static_cast<std::uint64_t>(bn));
         }
       });
     }
@@ -769,6 +831,7 @@ void gemm(const float* a, const float* b, float* c, int m, int k, int n,
   const GemmBlocking cfg = gemm_blocking();
   if (!gemm_uses_blocked(m, k, n, cfg)) {
     ref_dispatches().inc();
+    madds_dispatched().inc(axpy_madds(a, m, k, n, k, false, nullptr, nullptr));
     microkernel::active_table().fb_gemm(a, b, c, m, k, n, accumulate);
     return;
   }
@@ -783,6 +846,7 @@ void gemm_tn(const float* at, const float* b, float* c, int m, int k, int n,
   const GemmBlocking cfg = gemm_blocking();
   if (!gemm_uses_blocked(m, k, n, cfg)) {
     ref_dispatches().inc();
+    madds_dispatched().inc(axpy_madds(at, m, k, n, m, true, nullptr, nullptr));
     microkernel::active_table().fb_gemm_tn(at, b, c, m, k, n, accumulate);
     return;
   }
@@ -797,6 +861,7 @@ void gemm_nt(const float* a, const float* bt, float* c, int m, int k, int n,
   const GemmBlocking cfg = gemm_blocking();
   if (!gemm_uses_blocked(m, k, n, cfg)) {
     ref_dispatches().inc();
+    madds_dispatched().inc(dot_madds(m, k, n, nullptr, nullptr));
     microkernel::active_table().fb_gemm_nt(a, bt, c, m, k, n, accumulate);
     return;
   }
@@ -811,6 +876,7 @@ void gemm_rows(const float* a, const float* b, float* c, int m, int k, int n,
   const GemmBlocking cfg = gemm_blocking();
   if (!gemm_uses_blocked(m, k, n, cfg)) {
     ref_dispatches().inc();
+    madds_dispatched().inc(axpy_madds(a, m, k, n, k, false, row_active, nullptr));
     microkernel::active_table().fb_gemm_rows(a, b, c, m, k, n, row_active);
     return;
   }
@@ -824,6 +890,7 @@ void gemm_nt_cols(const float* a, const float* bt, float* c, int m, int k,
   const GemmBlocking cfg = gemm_blocking();
   if (!gemm_uses_blocked(m, k, n, cfg)) {
     ref_dispatches().inc();
+    madds_dispatched().inc(dot_madds(m, k, n, nullptr, col_active));
     microkernel::active_table().fb_gemm_nt_cols(a, bt, c, m, k, n, col_active);
     return;
   }
@@ -837,6 +904,7 @@ void gemm_nt_rows_acc(const float* a, const float* bt, float* c, int m, int k,
   const GemmBlocking cfg = gemm_blocking();
   if (!gemm_uses_blocked(m, k, n, cfg)) {
     ref_dispatches().inc();
+    madds_dispatched().inc(dot_madds(m, k, n, row_active, nullptr));
     microkernel::active_table().fb_gemm_nt_rows_acc(a, bt, c, m, k, n, row_active);
     return;
   }
@@ -850,6 +918,7 @@ void gemm_tn_rows(const float* at, const float* b, float* c, int m, int k,
   const GemmBlocking cfg = gemm_blocking();
   if (!gemm_uses_blocked(m, k, n, cfg)) {
     ref_dispatches().inc();
+    madds_dispatched().inc(axpy_madds(at, m, k, n, m, true, nullptr, k_active));
     microkernel::active_table().fb_gemm_tn_rows(at, b, c, m, k, n, k_active);
     return;
   }
@@ -861,31 +930,39 @@ void gemm_tn_rows(const float* at, const float* b, float* c, int m, int k,
 
 void gemm_nt_cols_bias(const float* a, const float* bt, float* c, int m, int k,
                        int n, const unsigned char* col_active,
-                       const float* bias, bool relu, std::uint64_t pack_id) {
+                       const float* bias, bool relu, std::uint64_t pack_id,
+                       int ldb) {
   const GemmBlocking cfg = gemm_blocking();
   if (!gemm_uses_blocked(m, k, n, cfg)) {
     ref_dispatches().inc();
-    microkernel::active_table().fb_gemm_nt_cols_bias(a, bt, c, m, k, n, col_active, bias, relu);
+    madds_dispatched().inc(dot_madds(m, k, n, nullptr, col_active));
+    microkernel::active_table().fb_gemm_nt_cols_bias(a, bt, c, m, k, n,
+                                                     col_active, bias, relu,
+                                                     ldb);
     return;
   }
   blocked_dispatches().inc();
   blocked_run<Fam::kDot, false, false, true, false>(
       a, bt, c, m, k, n, nullptr, col_active, nullptr, cfg, bias, relu,
-      pack_id);
+      pack_id, /*lda=*/0, ldb);
 }
 
 void gemm_rows_bias(const float* a, const float* b, float* c, int m, int k,
                     int n, const unsigned char* row_active, const float* bias,
-                    bool relu) {
+                    bool relu, int lda) {
   const GemmBlocking cfg = gemm_blocking();
   if (!gemm_uses_blocked(m, k, n, cfg)) {
     ref_dispatches().inc();
-    microkernel::active_table().fb_gemm_rows_bias(a, b, c, m, k, n, row_active, bias, relu);
+    madds_dispatched().inc(
+        axpy_madds(a, m, k, n, lda > 0 ? lda : k, false, row_active, nullptr));
+    microkernel::active_table().fb_gemm_rows_bias(a, b, c, m, k, n, row_active,
+                                                  bias, relu, lda);
     return;
   }
   blocked_dispatches().inc();
   blocked_run<Fam::kAxpy, false, true, false, false>(
-      a, b, c, m, k, n, row_active, nullptr, nullptr, cfg, bias, relu);
+      a, b, c, m, k, n, row_active, nullptr, nullptr, cfg, bias, relu,
+      /*pack_id=*/0, lda);
 }
 
 }  // namespace stepping

@@ -41,7 +41,10 @@
 // Block sizes come from STEPPING_GEMM_BLOCK ("MCxKCxNC", e.g. "64x256x256";
 // "ref" forces the reference path) or set_gemm_blocking(); defaults target
 // a ~256 KiB L2 share. Dispatch, packing and arena usage are instrumented
-// with stepping_gemm_* counters and kernel.gemm.* trace spans.
+// with stepping_gemm_* counters and kernel.gemm.* trace spans, including two
+// deterministic executed-work counters: stepping_gemm_pack_bytes_total
+// (bytes written into B panels) and stepping_gemm_madds_total (multiply-adds
+// dispatched after the zero skip and all masks).
 //
 // Persistent packed-weight cache (ISSUE 5): dot-family kernels that take a
 // `pack_id` (gemm_nt_cols_bias) can skip the pack stage entirely. The cache
@@ -185,16 +188,21 @@ void gemm_tn_rows(const float* at, const float* b, float* c, int m, int k,
 /// zero-filled C then matches the reference's relu(0) == +0 bit for bit).
 /// `pack_id` != 0 additionally routes Bt's packed panels through the
 /// persistent cache (pass 0 for transient operands, e.g. during training).
+/// `ldb` is Bt's row stride (0 = k): a contraction over the first k columns
+/// of a wider weight matrix reads it in place.
 void gemm_nt_cols_bias(const float* a, const float* bt, float* c, int m, int k,
                        int n, const unsigned char* col_active,
-                       const float* bias, bool relu, std::uint64_t pack_id);
+                       const float* bias, bool relu, std::uint64_t pack_id,
+                       int ldb = 0);
 
 /// gemm_rows, then per active row i: C(i,j) += bias[i] for every j, plus the
 /// optional ReLU — the Conv2d forward epilogue (bias per output unit). The
 /// B operand (im2col patches) is transient, so there is no pack_id here.
+/// `lda` is A's row stride (0 = k): the active-channel conv contracts over a
+/// row range of the weight matrix's leading columns without copying it.
 void gemm_rows_bias(const float* a, const float* b, float* c, int m, int k,
                     int n, const unsigned char* row_active, const float* bias,
-                    bool relu);
+                    bool relu, int lda = 0);
 
 // ---------------------------------------------------------------------------
 // Reference kernels: the pre-blocking row-parallel loops, verbatim. The
@@ -220,10 +228,10 @@ void gemm_tn_rows(const float* at, const float* b, float* c, int m, int k,
                   int n, const unsigned char* k_active);
 void gemm_nt_cols_bias(const float* a, const float* bt, float* c, int m, int k,
                        int n, const unsigned char* col_active,
-                       const float* bias, bool relu);
+                       const float* bias, bool relu, int ldb = 0);
 void gemm_rows_bias(const float* a, const float* b, float* c, int m, int k,
                     int n, const unsigned char* row_active, const float* bias,
-                    bool relu);
+                    bool relu, int lda = 0);
 
 }  // namespace gemmref
 

@@ -51,9 +51,11 @@ using FbGemmFn = void (*)(const float* a, const float* b, float* c, int m,
                           int k, int n, bool accumulate);
 using FbMaskFn = void (*)(const float* a, const float* b, float* c, int m,
                           int k, int n, const unsigned char* mask);
+/// `ldw`: row stride of the weight operand (A for rows_bias, Bt for
+/// nt_cols_bias); 0 means k.
 using FbBiasFn = void (*)(const float* a, const float* b, float* c, int m,
                           int k, int n, const unsigned char* mask,
-                          const float* bias, bool relu);
+                          const float* bias, bool relu, int ldw);
 
 struct KernelTable {
   IsaTier tier;

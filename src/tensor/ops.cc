@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/gemm_kernel.h"
 #include "util/thread_pool.h"
@@ -181,15 +182,33 @@ void gemm_rows_bias_ref(const Tensor& a, const Tensor& b, Tensor& c,
 // im2col / col2im
 // ---------------------------------------------------------------------------
 
-void im2col(const float* x, const Conv2dGeometry& g, float* cols) {
+namespace {
+
+/// Executed-work counter: bytes im2col / im2col_region write.
+void count_im2col_bytes(std::int64_t rows, std::int64_t cols) {
+  static obs::Counter& c =
+      obs::Registry::global().counter("stepping_im2col_bytes_total");
+  if (rows > 0 && cols > 0) {
+    c.inc(static_cast<std::uint64_t>(rows * cols) * sizeof(float));
+  }
+}
+
+}  // namespace
+
+void im2col(const float* x, const Conv2dGeometry& g, float* cols, int c0,
+            int c1) {
   STEPPING_TRACE_SCOPE_CAT("kernel", "im2col");
   const int oh = g.out_h(), ow = g.out_w();
   const int spatial = oh * ow;
   const int kk = g.kernel * g.kernel;
+  if (c1 < 0) c1 = g.in_c;
+  if (c1 <= c0) return;
+  count_im2col_bytes(static_cast<std::int64_t>(c1 - c0) * kk, spatial);
   // cols is (patch, spatial) row-major: row index r = (c*k + kh)*k + kw.
   // Each patch row is written by exactly one chunk, so parallel lowering is
   // bitwise identical to the serial loop.
-  parallel_for_cost(0, static_cast<std::int64_t>(g.in_c) * kk, spatial,
+  parallel_for_cost(static_cast<std::int64_t>(c0) * kk,
+                    static_cast<std::int64_t>(c1) * kk, spatial,
                     [&](std::int64_t r0, std::int64_t r1) {
     for (std::int64_t r = r0; r < r1; ++r) {
       const int c = static_cast<int>(r / kk);
@@ -253,17 +272,21 @@ SpatialRegion conv_dirty_out_region(const Conv2dGeometry& g,
 }
 
 void im2col_region(const float* x, const Conv2dGeometry& g,
-                   const SpatialRegion& region, float* cols) {
+                   const SpatialRegion& region, float* cols, int c0, int c1) {
   STEPPING_TRACE_SCOPE_CAT("kernel", "im2col_region");
   const SpatialRegion reg = region.clipped(g.out_h(), g.out_w());
   if (reg.empty()) return;
   const int rw = reg.width();
   const std::int64_t spatial = reg.area();
   const int kk = g.kernel * g.kernel;
+  if (c1 < 0) c1 = g.in_c;
+  if (c1 <= c0) return;
+  count_im2col_bytes(static_cast<std::int64_t>(c1 - c0) * kk, spatial);
   // Same row-ownership partition as im2col: each patch row is written by
   // exactly one chunk (and the values are pure copies, so the output is
   // order-independent anyway).
-  parallel_for_cost(0, static_cast<std::int64_t>(g.in_c) * kk, spatial,
+  parallel_for_cost(static_cast<std::int64_t>(c0) * kk,
+                    static_cast<std::int64_t>(c1) * kk, spatial,
                     [&](std::int64_t r0, std::int64_t r1) {
     for (std::int64_t r = r0; r < r1; ++r) {
       const int c = static_cast<int>(r / kk);
@@ -380,6 +403,41 @@ void maxpool_forward(const Tensor& x, int k, Tensor& y, std::vector<int>& argmax
   });
 }
 
+void maxpool_channels(const Tensor& x, int k, Tensor& y, int c0, int c1) {
+  STEPPING_TRACE_SCOPE_CAT("kernel", "maxpool");
+  assert(x.rank() == 4 && y.rank() == 4);
+  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const int oh = h / k, ow = w / k;
+  assert(y.dim(0) == n && y.dim(1) == c && y.dim(2) == oh && y.dim(3) == ow);
+  if (c1 <= c0) return;
+  const int span = c1 - c0;
+  const float* px = x.data();
+  float* py = y.data();
+  const int ospatial = oh * ow;
+  parallel_for_cost(0, static_cast<std::int64_t>(n) * span,
+                    static_cast<std::int64_t>(ospatial) * k * k,
+                    [&](std::int64_t q0, std::int64_t q1) {
+    for (std::int64_t q = q0; q < q1; ++q) {
+      const std::int64_t pl = (q / span) * c + c0 + q % span;
+      const float* plane = px + static_cast<std::size_t>(pl) * h * w;
+      float* out = py + static_cast<std::size_t>(pl) * ospatial;
+      for (int yy = 0; yy < oh; ++yy) {
+        for (int xx = 0; xx < ow; ++xx) {
+          // Same scan and comparison as maxpool_forward, minus the argmax.
+          float best = -std::numeric_limits<float>::infinity();
+          for (int dy = 0; dy < k; ++dy) {
+            const float* row = plane + (yy * k + dy) * w + xx * k;
+            for (int dx = 0; dx < k; ++dx) {
+              if (row[dx] > best) best = row[dx];
+            }
+          }
+          out[yy * ow + xx] = best;
+        }
+      }
+    }
+  });
+}
+
 void maxpool_backward(const Tensor& grad_y, const std::vector<int>& argmax,
                       Tensor& grad_x) {
   STEPPING_TRACE_SCOPE_CAT("kernel", "maxpool_backward");
@@ -479,6 +537,25 @@ void relu_forward(const Tensor& x, Tensor& y, std::vector<unsigned char>& mask) 
       const bool pos = px[i] > 0.0f;
       pm[i] = pos ? 1 : 0;
       py[i] = pos ? px[i] : 0.0f;
+    }
+  });
+}
+
+void relu_units(const Tensor& x, Tensor& y, int units, int c0, int c1) {
+  STEPPING_TRACE_SCOPE_CAT("kernel", "relu_forward");
+  assert(y.shape() == x.shape() && units > 0);
+  if (c1 <= c0) return;
+  const std::int64_t n = x.dim(0);
+  const std::int64_t per = x.numel() / (n * units);
+  const std::int64_t len = static_cast<std::int64_t>(c1 - c0) * per;
+  const float* px = x.data();
+  float* py = y.data();
+  parallel_for_cost(0, n, len, [&](std::int64_t i0, std::int64_t i1) {
+    for (std::int64_t i = i0; i < i1; ++i) {
+      const std::int64_t off = (i * units + c0) * per;
+      for (std::int64_t j = off; j < off + len; ++j) {
+        py[j] = px[j] > 0.0f ? px[j] : 0.0f;
+      }
     }
   });
 }

@@ -122,8 +122,13 @@ struct Conv2dGeometry {
 };
 
 /// im2col for one image: x is (C, H, W) flattened within a batch tensor;
-/// writes a (patch, out_h*out_w) column matrix.
-void im2col(const float* x, const Conv2dGeometry& g, float* cols);
+/// writes a (patch, out_h*out_w) column matrix. Patch rows are grouped per
+/// input channel (row r = (c*k + kh)*k + kw), so [c0, c1) lowers only the
+/// rows of those channels and leaves every other row untouched — the
+/// active-channel conv lowers just the channels it reads (c1 < 0 = in_c).
+/// Bytes written are counted in stepping_im2col_bytes_total.
+void im2col(const float* x, const Conv2dGeometry& g, float* cols, int c0 = 0,
+            int c1 = -1);
 
 /// Half-open spatial rectangle [r0, r1) x [c0, c1) over one H x W plane —
 /// the dirty-region currency of the streaming delta path (ISSUE 10).
@@ -169,8 +174,11 @@ SpatialRegion conv_dirty_out_region(const Conv2dGeometry& g,
 /// path: a GEMM over these columns reproduces the full pass's bits for the
 /// region because every output element's FP sequence depends only on its own
 /// column (see tensor/gemm_kernel.h's determinism contract).
+/// [c0, c1) restricts the lowering to those input channels' rows, as for
+/// im2col.
 void im2col_region(const float* x, const Conv2dGeometry& g,
-                   const SpatialRegion& region, float* cols);
+                   const SpatialRegion& region, float* cols, int c0 = 0,
+                   int c1 = -1);
 
 /// col2im scatter-add, inverse of im2col (for input gradients).
 void col2im(const float* cols, const Conv2dGeometry& g, float* x);
@@ -184,6 +192,11 @@ void col2im(const float* cols, const Conv2dGeometry& g, float* x);
 void maxpool_forward(const Tensor& x, int k, Tensor& y, std::vector<int>& argmax);
 void maxpool_backward(const Tensor& grad_y, const std::vector<int>& argmax,
                       Tensor& grad_x);
+
+/// Inference max pooling of channels [c0, c1) only, into a preallocated y
+/// of the pooled shape; other channels of y are untouched and no argmax is
+/// kept. Per element bitwise identical to maxpool_forward.
+void maxpool_channels(const Tensor& x, int k, Tensor& y, int c0, int c1);
 
 /// Global average pooling over H,W: (N,C,H,W) -> (N,C).
 void global_avgpool_forward(const Tensor& x, Tensor& y);
@@ -201,6 +214,11 @@ void softmax_rows(const Tensor& logits, Tensor& probs);
 void relu_forward(const Tensor& x, Tensor& y, std::vector<unsigned char>& mask);
 void relu_backward(const Tensor& grad_y, const std::vector<unsigned char>& mask,
                    Tensor& grad_x);
+
+/// Inference ReLU of units [c0, c1) of x viewed as (n, units, per), into a
+/// preallocated y of x's shape; other units of y are untouched and no mask
+/// is kept. Per element bitwise identical to relu_forward.
+void relu_units(const Tensor& x, Tensor& y, int units, int c0, int c1);
 
 /// y += x (shapes must match).
 void add_inplace(Tensor& y, const Tensor& x);

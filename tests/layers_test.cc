@@ -187,6 +187,7 @@ TEST(Conv2dTest, StructuralRuleBlocksHigherToLowerSynapses) {
   for (int col = 1 * kk; col < 2 * kk; ++col) {
     c2.weight().value.at(0, col) += 100.0f;
   }
+  ++c2.weight().version;  // in-place weight writers bump the version
   const Tensor y_after = c2.forward(c1.forward(x, ctx2), ctx2);
   for (int h = 0; h < 5; ++h) {
     for (int w = 0; w < 5; ++w) {
@@ -212,6 +213,7 @@ TEST(Conv2dTest, HeadLayerIgnoresStructuralRule) {
   ctx2.subnet_id = 2;
   const Tensor y_before = c2.forward(c1.forward(x, ctx2), ctx2);
   for (int col = 9; col < 18; ++col) c2.weight().value.at(0, col) += 1.0f;
+  ++c2.weight().version;  // in-place weight writers bump the version
   const Tensor y_after = c2.forward(c1.forward(x, ctx2), ctx2);
   // Head weights from the subnet-2 producer ARE used in subnet 2.
   bool changed = false;

@@ -311,5 +311,100 @@ TEST(SgdTest, UntouchedParamSkipped) {
   EXPECT_EQ(p.value[0], 2.0f);
 }
 
+// ---------------------------------------------------------------------------
+// Effective-weight cache: MaskedLayer keeps one masked copy across forwards
+// and rebuilds it only when an input of the mask changes. Each mutation below
+// must reach the next forward, whose output must equal that of a fresh clone
+// (which builds its masked copy from scratch).
+// ---------------------------------------------------------------------------
+
+class EffectiveWeightsCache : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    net_ = tiny_net();
+    for (MaskedLayer* m : net_.body_layers()) {
+      for (int u = 0; u < m->num_units(); ++u) m->set_unit_subnet(u, 1 + u % 3);
+    }
+    Rng rng(17);
+    x_ = Tensor({2, 3, 8, 8});
+    fill_normal(x_, 0.0f, 1.0f, rng);
+    before_ = forward(net_);
+  }
+
+  Tensor forward(Network& net) {
+    SubnetContext ctx;
+    ctx.subnet_id = 2;
+    return net.forward(x_, ctx);
+  }
+
+  static bool same(const Tensor& a, const Tensor& b) {
+    if (a.shape() != b.shape()) return false;
+    for (std::int64_t i = 0; i < a.numel(); ++i) {
+      if (a[i] != b[i]) return false;
+    }
+    return true;
+  }
+
+  /// The mutated net's forward changed and matches a fresh clone's.
+  void expect_rebuilt() {
+    const Tensor after = forward(net_);
+    EXPECT_FALSE(same(after, before_));
+    Network fresh = net_.clone();
+    EXPECT_TRUE(same(after, forward(fresh)));
+  }
+
+  MaskedLayer* c2() { return net_.body_layers()[1]; }
+
+  Network net_;
+  Tensor x_;
+  Tensor before_;
+};
+
+TEST_F(EffectiveWeightsCache, UnchangedInputsKeepTheCachedCopy) {
+  const std::uint64_t id = c2()->pack_id();
+  ASSERT_NE(id, 0u);
+  EXPECT_TRUE(same(forward(net_), before_));
+  EXPECT_EQ(c2()->pack_id(), id);
+}
+
+TEST_F(EffectiveWeightsCache, WeightVersionBumpInvalidates) {
+  const std::uint64_t id = c2()->pack_id();
+  for (std::int64_t i = 0; i < c2()->weight().value.numel(); ++i) {
+    c2()->weight().value[i] *= 1.5f;
+  }
+  ++c2()->weight().version;
+  expect_rebuilt();
+  EXPECT_NE(c2()->pack_id(), id);
+}
+
+TEST_F(EffectiveWeightsCache, PruneMaskChangeInvalidates) {
+  std::vector<std::uint8_t> mask(c2()->prune_mask().size(), 1);
+  for (std::size_t i = 0; i < mask.size(); i += 2) mask[i] = 0;
+  c2()->set_prune_mask(mask);
+  expect_rebuilt();
+}
+
+TEST_F(EffectiveWeightsCache, SetHeadInvalidates) {
+  // A head ignores the structural rule: c2's units now read every producer.
+  c2()->set_head(true);
+  expect_rebuilt();
+}
+
+TEST_F(EffectiveWeightsCache, OwnAssignmentChangeInvalidates) {
+  // Unit 0 (subnet 1) moves to subnet 2: at level 2 it now also reads the
+  // subnet-2 producers. Written through the shared pointer, which bypasses
+  // set_unit_subnet's dirty flag.
+  (*c2()->unit_subnet_ptr())[0] = 2;
+  expect_rebuilt();
+}
+
+TEST_F(EffectiveWeightsCache, ProducerSideMoveInvalidatesConsumer) {
+  // c1 unit 0 moves to subnet 2: c2's subnet-1 units lose that input. Only
+  // the producer is told; the consumer sees it through its input assignment.
+  MaskedLayer* c1 = net_.body_layers()[0];
+  c1->set_unit_subnet(0, 2);
+  expect_rebuilt();
+}
+
 }  // namespace
 }  // namespace stepping
