@@ -7,6 +7,7 @@
 
 #include "quant/calibration.h"
 #include "quant/prepared.h"
+#include "tensor/gemm_isa.h"
 #include "tensor/gemm_kernel.h"
 #include "util/arena.h"
 
@@ -118,7 +119,7 @@ void Conv2d::compute_rows(const Tensor& x, Tensor& y, int from, int to,
   const int kk = kernel_ * kernel_;
   const int patch = geom_.patch();
   // The contraction stops after the last input channel active at `to`;
-  // rows past it are never lowered, packed or read.
+  // rows past it are never lowered or read.
   const int c_end = input_units_end(to);
   const int k = c_end * kk;
   const std::int64_t in_img =
@@ -139,20 +140,27 @@ void Conv2d::compute_rows(const Tensor& x, Tensor& y, int from, int to,
     }
   }
 
-  // Column source. A ladder state's cache holds the full channel layout and
-  // lowers each input channel once per input; rows it has not lowered for
-  // this input belong to channels a body layer's weights reach only through
-  // exact zeros, which the GEMM skips, so their content is never multiplied.
-  // A head (nonzero weights everywhere) and cache-less passes lower into
-  // arena scratch (lower_active).
+  // Column source, lowered straight into the active tier's GEMM panels (no
+  // pack stage). A ladder state's cache holds the full channel layout
+  // (panel_k = patch) and lowers each input channel once per input; rows it
+  // has not lowered for this input belong to channels a body layer's weights
+  // reach only through exact zeros, which the GEMM skips, so their content
+  // is never multiplied. A head (nonzero weights everywhere) and cache-less
+  // passes lower the k contracted rows into arena scratch (lower_active).
+  const int nr = gemm_panel_width();
+  const int npanels = (spatial + nr - 1) / nr;
   const bool use_cache = cache != nullptr && !is_head_;
+  const int panel_k = use_cache ? patch : k;
+  const std::size_t img_cols =
+      static_cast<std::size_t>(npanels) * nr * static_cast<std::size_t>(panel_k);
+  const SpatialRegion whole = SpatialRegion::full(geom_.out_h(), geom_.out_w());
   ArenaScope ws;
   float* scratch = nullptr;
-  const std::size_t img_cols = static_cast<std::size_t>(patch) * plane;
   if (use_cache) {
-    const std::vector<int> shape{n, patch, spatial};
-    if (cache->cols.shape() != shape) {
+    const std::vector<int> shape{n, patch, npanels * nr};
+    if (cache->cols.shape() != shape || cache->nr != nr) {
       cache->cols = Tensor(shape);
+      cache->nr = nr;
       cache->level = 0;
     }
     if (from == 0) cache->level = 0;  // a new input
@@ -160,26 +168,28 @@ void Conv2d::compute_rows(const Tensor& x, Tensor& y, int from, int to,
       for (int i = 0; i < n; ++i) {
         for_each_unit_run(in_assign_.get(), geom_.in_c, cache->level, to,
                           [&](int c0, int c1) {
-          im2col(x.data() + i * in_img, geom_,
-                 cache->cols.data() + i * img_cols, c0, c1);
+          im2col_panels(x.data() + i * in_img, geom_, whole, nr, patch,
+                        cache->cols.data() + i * img_cols, c0, c1);
         });
       }
       cache->level = to;
     }
   } else {
-    scratch = ws.alloc_floats(static_cast<std::size_t>(k) * plane);
+    scratch = ws.alloc_floats(img_cols);
   }
 
-  const SpatialRegion whole = SpatialRegion::full(geom_.out_h(), geom_.out_w());
   for (int i = 0; i < n; ++i) {
     float* cols = use_cache ? cache->cols.data() + i * img_cols : scratch;
-    if (!use_cache) lower_active(x.data() + i * in_img, whole, to, c_end, cols);
+    if (!use_cache) {
+      lower_active(x.data() + i * in_img, whole, to, c_end, nr, cols);
+    }
     // y rows [r0, r1) (U x S) = w rows [r0, r1), first k columns (row stride
     // patch) * cols (k x S) + bias, flagged rows only, with the bias add (and
     // optional ReLU) fused into the micro-kernel store.
-    gemm_rows_bias(w.data() + static_cast<std::size_t>(r0) * patch, cols,
-                   y.data() + i * out_img + r0 * plane, r1 - r0, k, spatial,
-                   rows_.data() + r0, bias_.value.data() + r0, relu, patch);
+    gemm_rows_bias_panels(w.data() + static_cast<std::size_t>(r0) * patch,
+                          cols, y.data() + i * out_img + r0 * plane, r1 - r0,
+                          k, spatial, panel_k, rows_.data() + r0,
+                          bias_.value.data() + r0, relu, patch);
   }
 }
 
@@ -268,8 +278,11 @@ void Conv2d::forward_delta(const Tensor& x, Tensor& y,
   const int k = c_end * kernel_ * kernel_;
   const int rw = reg.width();
   const std::int64_t area = reg.area();
+  const int nr = gemm_panel_width();
+  const std::int64_t npanels = (area + nr - 1) / nr;
   ArenaScope ws;
-  float* cols = ws.alloc_floats(static_cast<std::size_t>(k) * area);
+  float* cols =
+      ws.alloc_floats(static_cast<std::size_t>(npanels * nr) * k);
   float* part = ws.alloc_floats(static_cast<std::size_t>(r1 - r0) * area);
   const std::int64_t in_img = static_cast<std::int64_t>(geom_.in_c) * geom_.in_h *
                               geom_.in_w;
@@ -280,14 +293,15 @@ void Conv2d::forward_delta(const Tensor& x, Tensor& y,
     // of the full im2col, and each GEMM output element's FP sequence depends
     // only on its own column (tensor/gemm_kernel.h), so `part` carries
     // exactly the bits a full forward would put at those positions.
-    lower_active(x.data() + i * in_img, reg, to, c_end, cols);
+    lower_active(x.data() + i * in_img, reg, to, c_end, nr, cols);
     // The kernel accumulates into C (the full path hands it a zero-filled
     // tensor); arena scratch must be zeroed the same way each image.
     std::memset(part, 0,
                 sizeof(float) * static_cast<std::size_t>(r1 - r0) * area);
-    gemm_rows_bias(w.data() + static_cast<std::size_t>(r0) * patch, cols, part,
-                   r1 - r0, k, static_cast<int>(area), rows_.data() + r0,
-                   bias_.value.data() + r0, /*relu=*/false, patch);
+    gemm_rows_bias_panels(w.data() + static_cast<std::size_t>(r0) * patch,
+                          cols, part, r1 - r0, k, static_cast<int>(area), k,
+                          rows_.data() + r0, bias_.value.data() + r0,
+                          /*relu=*/false, patch);
     float* yi = y.data() + i * out_img;
     for (int u = r0; u < r1; ++u) {
       if (!rows_[static_cast<std::size_t>(u)]) continue;
@@ -303,24 +317,25 @@ void Conv2d::forward_delta(const Tensor& x, Tensor& y,
 }
 
 void Conv2d::lower_active(const float* x, const SpatialRegion& reg, int to,
-                          int c_end, float* cols) const {
+                          int c_end, int nr, float* cols) const {
   const Assignment* in_a = in_assign_.get();
-  const bool whole = reg.covers(geom_.out_h(), geom_.out_w());
+  const int kk = kernel_ * kernel_;
+  const int k = c_end * kk;
   for_each_unit_run(in_a, c_end, 0, to, [&](int c0, int c1) {
-    if (whole) {
-      im2col(x, geom_, cols, c0, c1);
-    } else {
-      im2col_region(x, geom_, reg, cols, c0, c1);
-    }
+    im2col_panels(x, geom_, reg, nr, k, cols, c0, c1);
   });
   // Inactive channels below c_end (scattered assignments only) become zero
-  // rows: a head reads them with nonzero weights, and zero is what the
-  // masked input held there.
-  const std::size_t rows = static_cast<std::size_t>(kernel_) * kernel_;
-  const std::size_t area = static_cast<std::size_t>(reg.area());
+  // rows in every panel: a head reads them with nonzero weights, and zero
+  // is what the masked input held there.
+  const std::int64_t npanels = (reg.area() + nr - 1) / nr;
+  const std::size_t run = static_cast<std::size_t>(kk) * nr;
   for (int c = 0; c < c_end; ++c) {
     if (unit_joins(in_a, c, 0, to)) continue;
-    std::memset(cols + c * rows * area, 0, sizeof(float) * rows * area);
+    for (std::int64_t q = 0; q < npanels; ++q) {
+      std::memset(cols + (static_cast<std::size_t>(q) * k +
+                          static_cast<std::size_t>(c) * kk) * nr,
+                  0, sizeof(float) * run);
+    }
   }
 }
 

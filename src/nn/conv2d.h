@@ -1,4 +1,5 @@
-// Subnet-aware 2-D convolution (NCHW), lowered to GEMM via im2col.
+// Subnet-aware 2-D convolution (NCHW), lowered to GEMM via im2col — at
+// inference straight into the GEMM's panel layout (implicit GEMM: no pack).
 //
 // Each output filter is a "unit" in the paper's sense; the structural rule
 // s(in) <= s(out) gates whole kernel-column groups of the weight matrix.
@@ -52,10 +53,11 @@ class Conv2d final : public MaskedLayer {
                     StepColumns* cache, bool zero_rows, bool training);
 
   /// Lower one image's input channels active at `to` (those below c_end)
-  /// into a (c_end * k * k, reg.area()) column matrix over output region
-  /// `reg`; inactive channels among them get zero rows.
+  /// into the (c_end * k * k, reg.area()) column matrix over output region
+  /// `reg`, laid out as `nr`-wide GEMM panels of c_end * k * k rows
+  /// (im2col_panels); inactive channels among them get zero rows.
   void lower_active(const float* x, const SpatialRegion& reg, int to,
-                    int c_end, float* cols) const;
+                    int c_end, int nr, float* cols) const;
 
   std::string name_;
   int out_channels_;

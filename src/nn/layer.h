@@ -30,11 +30,15 @@ class CalibrationTable;
 class Param;
 
 /// Lowered-column cache one conv layer keeps in a ladder state: the im2col
-/// matrix of the current input in the full channel layout, zero-filled once
-/// when allocated, with the rows of input units of subnets <= `level`
-/// lowered. A step lowers only the input units joining in (level, to].
+/// matrix of the current input in the full channel layout, held in the GEMM
+/// panel layout of width `nr` (im2col_panels, panel_k = patch), zero-filled
+/// once when allocated, with the rows of input units of subnets <= `level`
+/// lowered. A step lowers only the input units joining in (level, to] and
+/// the GEMM reads the panels in place. `nr` is part of the key: an ISA tier
+/// switch can keep the shape and change the layout.
 struct StepColumns {
   Tensor cols;
+  int nr = 0;
   int level = 0;
 };
 

@@ -54,13 +54,13 @@ void MaskedLayer::init_structure(int units, int cols, int col_group,
     // Re-wire (e.g. after clone): shapes must match.
     assert(weight_.value.dim(0) == units && weight_.value.dim(1) == cols);
   }
-  weights_dirty_ = true;
+  mark_weights_dirty();
 }
 
 void MaskedLayer::set_unit_subnet(int unit, int subnet) {
   assert(unit >= 0 && unit < units_ && subnet >= 1);
   (*out_assign_)[static_cast<std::size_t>(unit)] = subnet;
-  weights_dirty_ = true;
+  mark_weights_dirty();
 }
 
 bool MaskedLayer::structurally_active(int unit, int col) const {
@@ -76,14 +76,14 @@ void MaskedLayer::apply_magnitude_prune(float threshold) {
   for (std::size_t i = 0; i < n; ++i) {
     prune_mask_[i] = std::fabs(w[i]) >= threshold ? 1 : 0;
   }
-  weights_dirty_ = true;
+  mark_weights_dirty();
 }
 
 void MaskedLayer::revive_unit_row(int unit) {
   assert(unit >= 0 && unit < units_);
   std::memset(prune_mask_.data() + static_cast<std::size_t>(unit) * cols_, 1,
               static_cast<std::size_t>(cols_));
-  weights_dirty_ = true;
+  mark_weights_dirty();
 }
 
 void MaskedLayer::revive_in_unit_cols(int in_unit) {
@@ -94,21 +94,38 @@ void MaskedLayer::revive_in_unit_cols(int in_unit) {
     std::uint8_t* row = prune_mask_.data() + static_cast<std::size_t>(u) * cols_;
     std::memset(row + lo, 1, static_cast<std::size_t>(hi - lo));
   }
-  weights_dirty_ = true;
+  mark_weights_dirty();
 }
 
 void MaskedLayer::clear_prune_mask() {
   std::fill(prune_mask_.begin(), prune_mask_.end(), std::uint8_t{1});
-  weights_dirty_ = true;
+  mark_weights_dirty();
 }
 
 void MaskedLayer::set_prune_mask(const std::vector<std::uint8_t>& mask) {
   assert(mask.size() == prune_mask_.size());
   prune_mask_ = mask;
-  weights_dirty_ = true;
+  mark_weights_dirty();
 }
 
 std::int64_t MaskedLayer::active_weights(int subnet_id) const {
+  if (subnet_id < 0) subnet_id = 0;
+  ActiveWeightsMemo& memo = aw_memo_;
+  std::lock_guard<std::mutex> lock(memo.mu);
+  if (memo.epoch != mask_epoch_ || memo.out_assign != *out_assign_ ||
+      memo.in_assign != *in_assign_) {
+    memo.epoch = mask_epoch_;
+    memo.out_assign = *out_assign_;
+    memo.in_assign = *in_assign_;
+    memo.counts.clear();
+  }
+  const auto id = static_cast<std::size_t>(subnet_id);
+  if (memo.counts.size() <= id) memo.counts.resize(id + 1, -1);
+  if (memo.counts[id] < 0) memo.counts[id] = count_active_weights(subnet_id);
+  return memo.counts[id];
+}
+
+std::int64_t MaskedLayer::count_active_weights(int subnet_id) const {
   std::int64_t count = 0;
   for (int u = 0; u < units_; ++u) {
     const int sv = is_head_ ? 1 : (*out_assign_)[static_cast<std::size_t>(u)];

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "nn/layer.h"
@@ -62,7 +63,7 @@ class MaskedLayer : public Layer {
   bool is_head() const { return is_head_; }
   void set_head(bool head) {
     is_head_ = head;
-    weights_dirty_ = true;
+    mark_weights_dirty();
   }
 
   /// True iff weight (unit, col) is allowed by the structural rule.
@@ -91,6 +92,9 @@ class MaskedLayer : public Layer {
   /// MAC operations contributed by one active weight (conv: out_h*out_w).
   std::int64_t macs_per_weight() const { return macs_per_weight_; }
   /// Active (structural && unpruned) weights of this layer in subnet `id`.
+  /// Memoized per id; the memo is dropped on the triggers that rebuild
+  /// effective_weights() — prune mask, head flag (mark_weights_dirty), and a
+  /// changed own or input assignment (compared against snapshots).
   std::int64_t active_weights(int subnet_id) const;
   /// MACs of this layer in subnet `id`.
   std::int64_t subnet_macs(int subnet_id) const {
@@ -167,7 +171,10 @@ class MaskedLayer : public Layer {
   /// unit). Heads are always fully active. Returns a scratch buffer valid
   /// until the next call.
   const std::vector<std::uint8_t>& active_flags(int subnet_id);
-  void mark_weights_dirty() { weights_dirty_ = true; }
+  void mark_weights_dirty() {
+    weights_dirty_ = true;
+    ++mask_epoch_;
+  }
 
   /// Zero grad rows of inactive units, mirroring forward's output masking.
   /// `rows_are_units`: grad laid out (units x anything) after reshape.
@@ -201,6 +208,22 @@ class MaskedLayer : public Layer {
   Assignment seen_out_assign_;  ///< *out_assign_ at last refresh
   Assignment seen_in_assign_;   ///< *in_assign_ at last refresh
   std::vector<std::uint8_t> active_flags_;  // scratch for active_flags()
+
+  // active_weights() memo: counts[id] (-1 = not counted yet), valid while
+  // mask_epoch_ and both assignments match what it was counted under.
+  // Guarded by a mutex because the method is const (callers may share a
+  // layer for read-only MAC accounting).
+  struct ActiveWeightsMemo {
+    std::mutex mu;
+    std::uint64_t epoch = 0;
+    Assignment out_assign;
+    Assignment in_assign;
+    std::vector<std::int64_t> counts;
+  };
+  std::uint64_t mask_epoch_ = 1;  ///< bumped by mark_weights_dirty()
+  mutable ActiveWeightsMemo aw_memo_;
+  /// The weight walk behind active_weights().
+  std::int64_t count_active_weights(int subnet_id) const;
 
   std::vector<std::vector<double>> imp_acc_;
 

@@ -20,9 +20,10 @@
 // Per-element order is the reference order everywhere: the axpy-family
 // loops accumulate into C a term at a time (ascending p, exact-zero A
 // terms skipped), the dot-family loops run one fresh accumulator over the
-// full contraction and touch C once. parallel_for_cost's static row
-// partition keeps results thread-count-independent exactly as it does for
-// gemmref.
+// full contraction and touch C once (fb_gemm_nt_cols_bias interleaves
+// several columns' accumulators, each still in that order).
+// parallel_for_cost's static row partition keeps results
+// thread-count-independent exactly as it does for gemmref.
 #pragma once
 
 #include <algorithm>
@@ -167,25 +168,65 @@ void fb_gemm_tn_rows(const float* pat, const float* pb, float* pc, int m,
   });
 }
 
+/// Dot chains of up to W active columns of one row, run side by side: each
+/// column keeps its own accumulator, adding its terms in ascending p from
+/// 0, so the interleaving changes no bits — it only lets W independent
+/// multiply-add chains overlap instead of waiting on one (the Dense head at
+/// batch 1 is one row of ~10 columns with a ~500-term contraction).
+template <class M, int W>
+void fb_dot_cols_bias(const float* arow, const float* pbt, std::size_t bstride,
+                      float* crow, int k, const int* cols, int w,
+                      const float* bias, bool relu) {
+  const float* bt[W];
+  float acc[W];
+  for (int t = 0; t < W; ++t) {
+    bt[t] = pbt + static_cast<std::size_t>(cols[t < w ? t : 0]) * bstride;
+    acc[t] = 0.0f;
+  }
+  for (int p = 0; p < k; ++p) {
+    const float av = arow[p];
+    for (int t = 0; t < W; ++t) acc[t] = M::madd(av, bt[t][p], acc[t]);
+  }
+  for (int t = 0; t < w; ++t) {
+    const int j = cols[t];
+    float v = crow[j] + acc[t];
+    v += bias[j];
+    if (relu) v = v > 0.0f ? v : 0.0f;
+    crow[j] = v;
+  }
+}
+
 template <class M>
 void fb_gemm_nt_cols_bias(const float* pa, const float* pbt, float* pc, int m,
                           int k, int n, const unsigned char* col_active,
                           const float* bias, bool relu, int ldb) {
+  constexpr int kBlock = 8;
   const std::size_t bstride = static_cast<std::size_t>(ldb > 0 ? ldb : k);
   parallel_for_cost(0, m, static_cast<std::int64_t>(k) * n,
                     [&](std::int64_t i0, std::int64_t i1) {
     for (std::int64_t i = i0; i < i1; ++i) {
       const float* arow = pa + static_cast<std::size_t>(i) * k;
       float* crow = pc + static_cast<std::size_t>(i) * n;
-      for (int j = 0; j < n; ++j) {
-        if (!col_active[j]) continue;
-        const float* btrow = pbt + static_cast<std::size_t>(j) * bstride;
-        float acc = 0.0f;
-        for (int p = 0; p < k; ++p) acc = M::madd(arow[p], btrow[p], acc);
-        float v = crow[j] + acc;
-        v += bias[j];
-        if (relu) v = v > 0.0f ? v : 0.0f;
-        crow[j] = v;
+      int j = 0;
+      for (;;) {
+        int cols[kBlock];
+        int w = 0;
+        for (; j < n && w < kBlock; ++j) {
+          if (col_active[j]) cols[w++] = j;
+        }
+        if (w == 0) break;
+        // A short remainder runs a narrower block; the padding chains of a
+        // block (t >= w) re-read column cols[0] and are never stored.
+        if (w > 4) {
+          fb_dot_cols_bias<M, kBlock>(arow, pbt, bstride, crow, k, cols, w,
+                                      bias, relu);
+        } else if (w > 1) {
+          fb_dot_cols_bias<M, 4>(arow, pbt, bstride, crow, k, cols, w, bias,
+                                 relu);
+        } else {
+          fb_dot_cols_bias<M, 1>(arow, pbt, bstride, crow, k, cols, w, bias,
+                                 relu);
+        }
       }
     }
   });

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
@@ -589,16 +590,24 @@ PackedBuffer acquire_packed(std::uint64_t pack_id, const float* bt, int k,
 // driver below is tier-agnostic — it reads the table once per call and
 // threads the tier's panel width `nr` through packing and tiling.
 
+/// `lowered` (axpy family only) hands over B already laid out in the active
+/// tier's panels, `panel_k` rows per panel (gemm_rows_bias_panels): the
+/// column loop then runs as one block straight over them and nothing is
+/// packed. Each KC chunk starts `pc` rows down every panel, so the micro-
+/// kernel steps between panels by panel_k * NR instead of bk * NR; the
+/// per-element term sequence is the same either way.
 template <Fam F, bool ATrans, bool RowMask, bool ColMask, bool KMask>
 void blocked_run(const float* a, const float* b, float* c, int m, int k, int n,
                  const unsigned char* rmask, const unsigned char* cmask,
                  const unsigned char* kmask, const GemmBlocking& cfg,
                  const float* bias = nullptr, bool relu = false,
-                 std::uint64_t pack_id = 0, int lda = 0, int ldb = 0) {
+                 std::uint64_t pack_id = 0, int lda = 0, int ldb = 0,
+                 const float* lowered = nullptr, int panel_k = 0) {
   obs::TraceScope span("gemm.blocked", "kernel");
   const microkernel::KernelTable& kt = microkernel::active_table();
   const int nr = kt.nr;
-  const int nc = std::max(cfg.nc, nr);
+  const int nc = lowered != nullptr ? (n + nr - 1) / nr * nr
+                                    : std::max(cfg.nc, nr);
   const int mc = std::max(cfg.mc, kMR);
   // Dot-family contraction is never chunked: accumulators must span the
   // full k so C sees exactly one update (determinism contract).
@@ -634,7 +643,7 @@ void blocked_run(const float* a, const float* b, float* c, int m, int k, int n,
   const int max_bn = std::min(nc, n);
   const int max_panels = (max_bn + nr - 1) / nr;
   float* pack = nullptr;
-  if (cached == nullptr) {
+  if (cached == nullptr && lowered == nullptr) {
     pack = scope.alloc_floats(static_cast<std::size_t>(max_panels) * nr *
                               static_cast<std::size_t>(kc));
   }
@@ -649,7 +658,12 @@ void blocked_run(const float* a, const float* b, float* c, int m, int k, int n,
     for (int pc = 0; pc < k; pc += kc) {
       const int bk = std::min(kc, k - pc);
       const float* packed;
-      if (cached != nullptr) {
+      std::ptrdiff_t pstride = static_cast<std::ptrdiff_t>(bk) * nr;
+      if (lowered != nullptr) {
+        pstride = static_cast<std::ptrdiff_t>(panel_k) * nr;
+        packed = lowered + static_cast<std::size_t>(jc / nr) * pstride +
+                 static_cast<std::size_t>(pc) * nr;
+      } else if (cached != nullptr) {
         packed = cached->data() + block_off;  // dot family: bk == k
       } else {
         pack_b_block<F == Fam::kDot>(b, ldb, pc, jc, bk, bn, nr, pack);
@@ -710,7 +724,7 @@ void blocked_run(const float* a, const float* b, float* c, int m, int k, int n,
             for (; q + 1 < panels; q += 2) {
               // Panel pairs: 2*NR columns per pass, four independent
               // accumulator vectors — enough ILP to hide FP-add latency.
-              const float* bp = packed + static_cast<std::size_t>(q) * bk * nr;
+              const float* bp = packed + q * pstride;
               const int j0 = jc + q * nr;
               const int w = std::min(2 * nr, jc + bn - j0);
               for (int r = 0; r < rows; ++r) {
@@ -718,12 +732,12 @@ void blocked_run(const float* a, const float* b, float* c, int m, int k, int n,
                 float* crow = c + (static_cast<std::size_t>(g0) + r) * n + j0;
                 kt.axpy(vals + static_cast<std::size_t>(r) * bk,
                         idxs + static_cast<std::size_t>(r) * bk, nnz[r], bp,
-                        crow, w, bk, /*pair=*/true, epi,
+                        crow, w, pstride, /*pair=*/true, epi,
                         epi ? bias[g0 + r] : 0.0f, relu);
               }
             }
             if (q < panels) {
-              const float* bp = packed + static_cast<std::size_t>(q) * bk * nr;
+              const float* bp = packed + q * pstride;
               const int j0 = jc + q * nr;
               const int w = std::min(nr, jc + bn - j0);
               for (int r = 0; r < rows; ++r) {
@@ -731,7 +745,7 @@ void blocked_run(const float* a, const float* b, float* c, int m, int k, int n,
                 float* crow = c + (static_cast<std::size_t>(g0) + r) * n + j0;
                 kt.axpy(vals + static_cast<std::size_t>(r) * bk,
                         idxs + static_cast<std::size_t>(r) * bk, nnz[r], bp,
-                        crow, w, bk, /*pair=*/false, epi,
+                        crow, w, pstride, /*pair=*/false, epi,
                         epi ? bias[g0 + r] : 0.0f, relu);
               }
             }
@@ -963,6 +977,22 @@ void gemm_rows_bias(const float* a, const float* b, float* c, int m, int k,
   blocked_run<Fam::kAxpy, false, true, false, false>(
       a, b, c, m, k, n, row_active, nullptr, nullptr, cfg, bias, relu,
       /*pack_id=*/0, lda);
+}
+
+void gemm_rows_bias_panels(const float* a, const float* bp, float* c, int m,
+                           int k, int n, int panel_k,
+                           const unsigned char* row_active, const float* bias,
+                           bool relu, int lda) {
+  if (m <= 0 || n <= 0) return;
+  if (k <= 0) {  // no contraction: only the bias (+ReLU) epilogue remains
+    gemm_rows_bias(a, nullptr, c, m, 0, n, row_active, bias, relu, lda);
+    return;
+  }
+  assert(panel_k >= k);
+  blocked_dispatches().inc();
+  blocked_run<Fam::kAxpy, false, true, false, false>(
+      a, nullptr, c, m, k, n, row_active, nullptr, nullptr, gemm_blocking(),
+      bias, relu, /*pack_id=*/0, lda, /*ldb=*/0, bp, panel_k);
 }
 
 }  // namespace stepping

@@ -204,6 +204,19 @@ void gemm_rows_bias(const float* a, const float* b, float* c, int m, int k,
                     int n, const unsigned char* row_active, const float* bias,
                     bool relu, int lda = 0);
 
+/// gemm_rows_bias over a B the caller already laid out in the ACTIVE tier's
+/// NR-wide panels (im2col_panels with nr = gemm_panel_width()): B(p, j) is
+/// bp[((j / NR) * panel_k + p) * NR + j % NR], lanes past n zero, and
+/// panel_k >= k rows per panel (rows past k are never read). There is no
+/// pack stage and no small-shape fallback — with nothing to pack there is
+/// nothing for the min_macs / min_k split to save — and the bits equal
+/// gemm_rows_bias's on every shape: it runs the same axpy micro-kernel with
+/// the same per-element term order.
+void gemm_rows_bias_panels(const float* a, const float* bp, float* c, int m,
+                           int k, int n, int panel_k,
+                           const unsigned char* row_active, const float* bias,
+                           bool relu, int lda = 0);
+
 // ---------------------------------------------------------------------------
 // Reference kernels: the pre-blocking row-parallel loops, verbatim. The
 // parity grid (tests/gemm_kernel_test.cc) and the bench_ops sweep assert

@@ -9,7 +9,8 @@
 //
 // The table functions are the two inner loops of the blocked path:
 //  * axpy — one C row against one packed B panel (pair=false, NR columns)
-//    or two adjacent panels (pair=true, 2*NR columns). The caller compacted
+//    or two adjacent panels (pair=true, 2*NR columns) `pstride` floats
+//    apart. The caller compacted
 //    the row's contraction terms (ascending p, exact-zero A terms dropped)
 //    into (vals, idxs); `epi` applies the fused bias(+ReLU) store on the
 //    chunk completing the contraction.
@@ -31,6 +32,7 @@
 // pre-dispatch behavior bit for bit.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "tensor/gemm_isa.h"
@@ -38,8 +40,9 @@
 namespace stepping::microkernel {
 
 using AxpyFn = void (*)(const float* vals, const int* idxs, int nnz,
-                        const float* bp0, float* crow, int w, int bk,
-                        bool pair, bool epi, float bias, bool relu);
+                        const float* bp0, float* crow, int w,
+                        std::ptrdiff_t pstride, bool pair, bool epi,
+                        float bias, bool relu);
 
 using DotFn = void (*)(const float* a, float* c, int k, int n,
                        std::int64_t i0, int h, int j0, int w, int bk,

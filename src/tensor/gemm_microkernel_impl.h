@@ -26,6 +26,7 @@
 // may legitimately differ.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 
@@ -36,7 +37,9 @@ namespace stepping::microkernel::detail {
 inline constexpr int kMR = kGemmMR;
 
 /// Axpy-family inner kernel: one C row against one (Pair=false) or two
-/// adjacent (Pair=true) packed B panels. The caller compacted the row's
+/// adjacent (Pair=true) packed B panels, `pstride` floats apart (bk * NR for
+/// a KC chunk the driver packed; panel_k * NR for panels lowered straight
+/// from the image, where a chunk starts part-way down each panel). The caller compacted the row's
 /// contraction terms — ascending p, the reference's av == 0.0f terms
 /// dropped — into (vals, idxs), so the hot loop is branchless: per element
 /// the reference's operation sequence is replayed exactly, compaction only
@@ -50,14 +53,15 @@ inline constexpr int kMR = kGemmMR;
 /// reference's intermediate store/load round trips are bit-exact.
 template <class V, int NR, bool Pair>
 inline void axpy_row_panels(const float* vals, const int* idxs, int nnz,
-                            const float* bp0, float* crow, int w, int bk,
-                            bool epi, float bias, bool relu) {
+                            const float* bp0, float* crow, int w,
+                            std::ptrdiff_t pstride, bool epi, float bias,
+                            bool relu) {
   constexpr int kL = V::kLanes;
   constexpr int kW = Pair ? 2 * NR : NR;      // columns covered
   constexpr int kNV = kW / kL;                // accumulator vectors
   constexpr int kPV = NR / kL;                // vectors per panel
   static_assert(NR % kL == 0, "panel width must be a multiple of the lanes");
-  const float* bp1 = bp0 + static_cast<std::size_t>(bk) * NR;  // next panel
+  const float* bp1 = bp0 + pstride;  // next panel
   // Vector u covers columns [u*kL, u*kL + kL), all inside one panel; its
   // panel base and within-panel column offset never change across terms.
   const float* pan[kNV];
@@ -154,14 +158,14 @@ inline void dot_tile(const float* a, float* c, int k, int n, std::int64_t i0,
 /// KernelTable::axpy body — resolves the runtime pair flag to the template.
 template <class V, int NR>
 void axpy_entry(const float* vals, const int* idxs, int nnz, const float* bp0,
-                float* crow, int w, int bk, bool pair, bool epi, float bias,
-                bool relu) {
+                float* crow, int w, std::ptrdiff_t pstride, bool pair, bool epi,
+                float bias, bool relu) {
   if (pair) {
-    axpy_row_panels<V, NR, true>(vals, idxs, nnz, bp0, crow, w, bk, epi, bias,
-                                 relu);
+    axpy_row_panels<V, NR, true>(vals, idxs, nnz, bp0, crow, w, pstride, epi,
+                                 bias, relu);
   } else {
-    axpy_row_panels<V, NR, false>(vals, idxs, nnz, bp0, crow, w, bk, epi, bias,
-                                  relu);
+    axpy_row_panels<V, NR, false>(vals, idxs, nnz, bp0, crow, w, pstride, epi,
+                                  bias, relu);
   }
 }
 

@@ -184,7 +184,8 @@ void gemm_rows_bias_ref(const Tensor& a, const Tensor& b, Tensor& c,
 
 namespace {
 
-/// Executed-work counter: bytes im2col / im2col_region write.
+/// Executed-work counter: bytes the lowering writes (zeroed panel tail lanes
+/// included).
 void count_im2col_bytes(std::int64_t rows, std::int64_t cols) {
   static obs::Counter& c =
       obs::Registry::global().counter("stepping_im2col_bytes_total");
@@ -193,45 +194,95 @@ void count_im2col_bytes(std::int64_t rows, std::int64_t cols) {
   }
 }
 
+/// Smallest integer >= num / den for den > 0 (C++ division truncates).
+int ceil_div(int num, int den) {
+  return num >= 0 ? (num + den - 1) / den : -((-num) / den);
+}
+
 }  // namespace
 
-void im2col(const float* x, const Conv2dGeometry& g, float* cols, int c0,
-            int c1) {
+void im2col_panels(const float* x, const Conv2dGeometry& g,
+                   const SpatialRegion& region, int nr, int panel_k,
+                   float* out, int c0, int c1) {
   STEPPING_TRACE_SCOPE_CAT("kernel", "im2col");
-  const int oh = g.out_h(), ow = g.out_w();
-  const int spatial = oh * ow;
+  const SpatialRegion reg = region.clipped(g.out_h(), g.out_w());
+  if (reg.empty()) return;
+  const int rw = reg.width();
+  const std::int64_t area = reg.area();
   const int kk = g.kernel * g.kernel;
   if (c1 < 0) c1 = g.in_c;
   if (c1 <= c0) return;
-  count_im2col_bytes(static_cast<std::int64_t>(c1 - c0) * kk, spatial);
-  // cols is (patch, spatial) row-major: row index r = (c*k + kh)*k + kw.
-  // Each patch row is written by exactly one chunk, so parallel lowering is
-  // bitwise identical to the serial loop.
+  assert(nr > 0 && panel_k >= c1 * kk);
+  const std::int64_t npanels = (area + nr - 1) / nr;
+  const int tail = static_cast<int>(npanels * nr - area);  // zero lanes
+  count_im2col_bytes(static_cast<std::int64_t>(c1 - c0) * kk, npanels * nr);
+  // Column s of patch row r lives at out[((s / nr) * panel_k + r) * nr +
+  // s % nr]. One output row's rw columns are consecutive in s, so they land
+  // in at most a few contiguous runs, split at panel boundaries; a row's
+  // writes walk s in order, so the (panel, lane) cursor advances without a
+  // division. Each patch row is written by exactly one chunk, and the values
+  // are pure copies, so the output is independent of the partition.
+  const std::size_t pstride = static_cast<std::size_t>(panel_k) * nr;
   parallel_for_cost(static_cast<std::int64_t>(c0) * kk,
-                    static_cast<std::int64_t>(c1) * kk, spatial,
+                    static_cast<std::int64_t>(c1) * kk, area,
                     [&](std::int64_t r0, std::int64_t r1) {
     for (std::int64_t r = r0; r < r1; ++r) {
+      float* panel = out + static_cast<std::size_t>(r) * nr;  // panel 0
+      int lane = 0;
+      // Write the next n columns: zeros (src == nullptr) or src[t * step].
+      // Plain loops: a conv row's runs are short, and for those they beat
+      // memset / memcpy calls.
+      auto put = [&](int n, const float* src, int step) {
+        while (n > 0) {
+          const int len = std::min(n, nr - lane);
+          float* dst = panel + lane;
+          if (src == nullptr) {
+            for (int t = 0; t < len; ++t) dst[t] = 0.0f;
+          } else if (step == 1) {
+            for (int t = 0; t < len; ++t) dst[t] = src[t];
+            src += len;
+          } else {
+            for (int t = 0; t < len; ++t) dst[t] = src[t * step];
+            src += static_cast<std::size_t>(len) * step;
+          }
+          n -= len;
+          lane += len;
+          if (lane == nr) {
+            lane = 0;
+            panel += pstride;
+          }
+        }
+      };
       const int c = static_cast<int>(r / kk);
       const int kh = static_cast<int>((r / g.kernel) % g.kernel);
       const int kw = static_cast<int>(r % g.kernel);
       const float* xc = x + static_cast<std::size_t>(c) * g.in_h * g.in_w;
-      float* crow = cols + static_cast<std::size_t>(r) * spatial;
-      for (int y = 0; y < oh; ++y) {
+      // Output columns xo in [xlo, xhi) read input column xo*stride + kw -
+      // pad inside [0, in_w); the rest read padding.
+      const int xlo = std::clamp(ceil_div(g.pad - kw, g.stride), reg.c0, reg.c1);
+      const int xhi =
+          std::clamp(ceil_div(g.in_w + g.pad - kw, g.stride), xlo, reg.c1);
+      for (int y = reg.r0; y < reg.r1; ++y) {
         const int iy = y * g.stride + kh - g.pad;
-        if (iy < 0 || iy >= g.in_h) {
-          std::memset(crow + static_cast<std::size_t>(y) * ow, 0,
-                      sizeof(float) * static_cast<std::size_t>(ow));
+        if (iy < 0 || iy >= g.in_h || xhi == xlo) {
+          put(rw, nullptr, 0);
           continue;
         }
         const float* xrow = xc + static_cast<std::size_t>(iy) * g.in_w;
-        float* orow = crow + static_cast<std::size_t>(y) * ow;
-        for (int xo = 0; xo < ow; ++xo) {
-          const int ix = xo * g.stride + kw - g.pad;
-          orow[xo] = (ix >= 0 && ix < g.in_w) ? xrow[ix] : 0.0f;
-        }
+        put(xlo - reg.c0, nullptr, 0);
+        put(xhi - xlo, xrow + (xlo * g.stride + kw - g.pad), g.stride);
+        put(reg.c1 - xhi, nullptr, 0);
       }
+      put(tail, nullptr, 0);
     }
   });
+}
+
+void im2col(const float* x, const Conv2dGeometry& g, float* cols, int c0,
+            int c1) {
+  const int spatial = g.out_h() * g.out_w();
+  im2col_panels(x, g, SpatialRegion::full(g.out_h(), g.out_w()), spatial,
+                g.patch(), cols, c0, c1);
 }
 
 namespace {
@@ -273,42 +324,10 @@ SpatialRegion conv_dirty_out_region(const Conv2dGeometry& g,
 
 void im2col_region(const float* x, const Conv2dGeometry& g,
                    const SpatialRegion& region, float* cols, int c0, int c1) {
-  STEPPING_TRACE_SCOPE_CAT("kernel", "im2col_region");
   const SpatialRegion reg = region.clipped(g.out_h(), g.out_w());
   if (reg.empty()) return;
-  const int rw = reg.width();
-  const std::int64_t spatial = reg.area();
-  const int kk = g.kernel * g.kernel;
-  if (c1 < 0) c1 = g.in_c;
-  if (c1 <= c0) return;
-  count_im2col_bytes(static_cast<std::int64_t>(c1 - c0) * kk, spatial);
-  // Same row-ownership partition as im2col: each patch row is written by
-  // exactly one chunk (and the values are pure copies, so the output is
-  // order-independent anyway).
-  parallel_for_cost(static_cast<std::int64_t>(c0) * kk,
-                    static_cast<std::int64_t>(c1) * kk, spatial,
-                    [&](std::int64_t r0, std::int64_t r1) {
-    for (std::int64_t r = r0; r < r1; ++r) {
-      const int c = static_cast<int>(r / kk);
-      const int kh = static_cast<int>((r / g.kernel) % g.kernel);
-      const int kw = static_cast<int>(r % g.kernel);
-      const float* xc = x + static_cast<std::size_t>(c) * g.in_h * g.in_w;
-      float* crow = cols + static_cast<std::size_t>(r) * spatial;
-      for (int y = reg.r0; y < reg.r1; ++y) {
-        const int iy = y * g.stride + kh - g.pad;
-        float* orow = crow + static_cast<std::size_t>(y - reg.r0) * rw;
-        if (iy < 0 || iy >= g.in_h) {
-          std::memset(orow, 0, sizeof(float) * static_cast<std::size_t>(rw));
-          continue;
-        }
-        const float* xrow = xc + static_cast<std::size_t>(iy) * g.in_w;
-        for (int xo = reg.c0; xo < reg.c1; ++xo) {
-          const int ix = xo * g.stride + kw - g.pad;
-          orow[xo - reg.c0] = (ix >= 0 && ix < g.in_w) ? xrow[ix] : 0.0f;
-        }
-      }
-    }
-  });
+  im2col_panels(x, g, reg, static_cast<int>(reg.area()), g.patch(), cols, c0,
+                c1);
 }
 
 // col2im was left serial in ISSUE 1 because its scatter-add overlaps across

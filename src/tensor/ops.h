@@ -2,7 +2,8 @@
 //
 // Convolutions are lowered to GEMM through im2col; this is the standard
 // CPU-friendly formulation and keeps a single tuned inner loop (gemm) for
-// both Dense and Conv2d layers.
+// both Dense and Conv2d layers. Inference lowers straight into the GEMM's
+// panel layout (im2col_panels), so no separate pack pass runs.
 //
 // The GEMM family, im2col, col2im, softmax_rows and the ReLU kernels execute
 // on the global ThreadPool (util/thread_pool.h), partitioned so that every
@@ -127,6 +128,7 @@ struct Conv2dGeometry {
 /// rows of those channels and leaves every other row untouched — the
 /// active-channel conv lowers just the channels it reads (c1 < 0 = in_c).
 /// Bytes written are counted in stepping_im2col_bytes_total.
+/// A wrapper over im2col_panels with one panel as wide as the plane.
 void im2col(const float* x, const Conv2dGeometry& g, float* cols, int c0 = 0,
             int c1 = -1);
 
@@ -179,6 +181,21 @@ SpatialRegion conv_dirty_out_region(const Conv2dGeometry& g,
 void im2col_region(const float* x, const Conv2dGeometry& g,
                    const SpatialRegion& region, float* cols, int c0 = 0,
                    int c1 = -1);
+
+/// The one lowering loop behind im2col and im2col_region (implicit-GEMM
+/// lowering, after Zhang et al., "High Performance Zero-Memory Overhead
+/// Direct Convolutions", ICML 2018): writes the (patch, region.area())
+/// column matrix of input channels [c0, c1) straight into `nr`-wide GEMM
+/// panels of `panel_k` rows each — element (r, s) lands at
+/// out[((s / nr) * panel_k + r) * nr + s % nr], and the lanes past area() in
+/// the last panel are zeroed for every row written. With nr =
+/// gemm_panel_width() that is the layout gemm_rows_bias_panels reads, so a
+/// conv GEMM packs nothing; nr = area() and panel_k = patch is the plain
+/// row-major im2col matrix. Values are byte-identical to the scalar im2col
+/// definition in every layout. Requires panel_k >= c1 * kernel^2.
+void im2col_panels(const float* x, const Conv2dGeometry& g,
+                   const SpatialRegion& region, int nr, int panel_k,
+                   float* out, int c0 = 0, int c1 = -1);
 
 /// col2im scatter-add, inverse of im2col (for input gradients).
 void col2im(const float* cols, const Conv2dGeometry& g, float* x);

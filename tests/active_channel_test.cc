@@ -29,6 +29,7 @@
 #include <limits>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "baselines/any_width.h"
@@ -40,6 +41,7 @@
 #include "nn/simple_layers.h"
 #include "obs/metrics.h"
 #include "stream/stream.h"
+#include "tensor/gemm_isa.h"
 #include "tensor/gemm_kernel.h"
 #include "tensor/ops.h"
 #include "util/thread_pool.h"
@@ -484,6 +486,77 @@ TEST(ActiveChannelCounters, PackBytesCountOnlyPanelsActuallyPacked) {
                     bias.data(), false, id);
   EXPECT_EQ(counter("stepping_gemm_madds_total") - q0,
             static_cast<std::uint64_t>(m) * k * n);
+}
+
+TEST(ActiveChannelCounters, ConvInferencePacksNothing) {
+  // Conv GEMMs read the columns in the panel layout they were lowered into:
+  // no forward, batched forward or climb packs a byte (the batch-1 and
+  // batch-2 heads are below the blocked path's gates and pack nothing
+  // either).
+  Network net = prefix_net();
+  const Tensor x = random_input(1, 63);
+  const Tensor xb = random_input(2, 65);
+  SubnetContext ctx;
+  const std::uint64_t p0 = counter("stepping_gemm_pack_bytes_total");
+  for (int level = 1; level <= 4; ++level) {
+    ctx.subnet_id = level;
+    net.forward(x, ctx);
+    net.forward(xb, ctx);
+  }
+  IncrementalExecutor ex(net);
+  for (int level = 1; level <= 4; ++level) ex.run(x, level);
+  EXPECT_EQ(counter("stepping_gemm_pack_bytes_total"), p0);
+}
+
+TEST(ActiveChannelCache, ReLowersAfterTierSwitch) {
+  // A ladder state's lowered columns are laid out in the panel width of the
+  // tier that lowered them. After a tier switch between steps, the next step
+  // must re-lower into the new width: its output and its column cache must
+  // equal a step from the same activations with a cold column cache.
+  IsaTier narrow = IsaTier::kScalar, wide = IsaTier::kScalar;
+  int narrow_nr = 0, wide_nr = 0;
+  for (int t = 0; t <= static_cast<int>(detected_isa_tier()); ++t) {
+    const IsaTier tier = static_cast<IsaTier>(t);
+    if (!isa_tier_compiled(tier)) continue;
+    set_isa_tier(tier);
+    const int nr = gemm_panel_width();
+    if (narrow_nr == 0 || nr < narrow_nr) {
+      narrow = tier;
+      narrow_nr = nr;
+    }
+    if (nr > wide_nr) {
+      wide = tier;
+      wide_nr = nr;
+    }
+  }
+  if (narrow_nr == wide_nr) {
+    set_isa_tier(env_isa_tier());
+    GTEST_SKIP() << "every tier this host runs has the same panel width";
+  }
+  Network net = prefix_net();
+  const Tensor x = random_input(1, 66);
+  for (const auto& [from_tier, to_tier] :
+       {std::pair{narrow, wide}, std::pair{wide, narrow}}) {
+    set_isa_tier(from_tier);
+    std::vector<Tensor> outs;
+    std::vector<StepColumns> cols;
+    ladder_step(net, x, outs, 0, 2, &cols);
+    set_isa_tier(to_tier);
+    std::vector<Tensor> cold_outs = outs;
+    std::vector<StepColumns> cold;
+    const Tensor want = ladder_step(net, x, cold_outs, 2, 3, &cold);
+    const Tensor got = ladder_step(net, x, outs, 2, 3, &cols);
+    EXPECT_TRUE(same_bits(got, want));
+    int convs = 0;
+    for (std::size_t i = 0; i < cols.size(); ++i) {
+      if (cold[i].cols.empty()) continue;
+      ++convs;
+      EXPECT_EQ(cols[i].nr, gemm_panel_width());
+      EXPECT_TRUE(same_bits(cols[i].cols, cold[i].cols)) << "layer " << i;
+    }
+    EXPECT_GT(convs, 0);
+  }
+  set_isa_tier(env_isa_tier());
 }
 
 }  // namespace

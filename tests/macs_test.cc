@@ -122,5 +122,76 @@ TEST(Macs, DiscardPoolUnitsCountInNoSubnet) {
   EXPECT_LT(subnet_macs(net, 2), full);
 }
 
+/// active_weights() recounted from scratch through the public accessors.
+std::int64_t brute_active_weights(const MaskedLayer& m, int id) {
+  std::int64_t count = 0;
+  for (int u = 0; u < m.num_units(); ++u) {
+    const int sv = m.is_head() ? 1 : m.unit_subnet()[static_cast<std::size_t>(u)];
+    if (sv > id) continue;
+    for (int c = 0; c < m.num_cols(); ++c) {
+      if (!m.prune_mask()[static_cast<std::size_t>(u) * m.num_cols() + c]) continue;
+      const int su = m.in_subnet()[static_cast<std::size_t>(m.in_unit_of(u, c))];
+      if (su > id || (!m.is_head() && su > sv)) continue;
+      ++count;
+    }
+  }
+  return count;
+}
+
+/// The memo answers every id the same as a fresh count (asked twice, so the
+/// second answer comes from the memo).
+void expect_memo_fresh(const MaskedLayer& m, const char* step) {
+  for (int id = 1; id <= 3; ++id) {
+    EXPECT_EQ(m.active_weights(id), brute_active_weights(m, id)) << step;
+    EXPECT_EQ(m.active_weights(id), brute_active_weights(m, id)) << step;
+  }
+}
+
+TEST(ActiveWeightsMemo, InvalidatesOnPruneMaskAssignmentAndHead) {
+  Network net = two_conv_net();
+  MaskedLayer* c1 = net.body_layers()[0];
+  MaskedLayer* c2 = net.body_layers()[1];
+  c2->set_unit_subnet(2, 2);
+  expect_memo_fresh(*c2, "initial");
+
+  std::int64_t before = c2->active_weights(3);
+  c2->apply_magnitude_prune(0.3f);
+  expect_memo_fresh(*c2, "prune mask");
+  EXPECT_LT(c2->active_weights(3), before);
+
+  before = c2->active_weights(1);
+  c2->set_unit_subnet(0, 2);
+  expect_memo_fresh(*c2, "own assignment");
+  EXPECT_LT(c2->active_weights(1), before);
+
+  // Written through the shared pointer: no setter sees it, the snapshot does.
+  before = c2->active_weights(2);
+  (*c2->unit_subnet_ptr())[1] = 3;
+  expect_memo_fresh(*c2, "own assignment in place");
+  EXPECT_LT(c2->active_weights(2), before);
+
+  // The producer's move changes c2's input assignment (shared storage).
+  before = c2->active_weights(1);
+  c1->set_unit_subnet(0, 2);
+  expect_memo_fresh(*c2, "input assignment");
+  EXPECT_LT(c2->active_weights(1), before);
+
+  before = c2->active_weights(1);
+  c2->set_head(true);
+  expect_memo_fresh(*c2, "head flag");
+  EXPECT_GT(c2->active_weights(1), before);
+  c2->set_head(false);
+  expect_memo_fresh(*c2, "head flag cleared");
+
+  c2->revive_unit_row(3);
+  expect_memo_fresh(*c2, "revived row");
+  c2->clear_prune_mask();
+  expect_memo_fresh(*c2, "cleared prune mask");
+  std::vector<std::uint8_t> mask(c2->prune_mask().size(), 0);
+  c2->set_prune_mask(mask);
+  expect_memo_fresh(*c2, "set prune mask");
+  EXPECT_EQ(c2->active_weights(3), 0);
+}
+
 }  // namespace
 }  // namespace stepping
