@@ -95,11 +95,32 @@ void BatchNorm2d::forward_step(const Tensor& x, Tensor& y, int from,
   (void)cols;
   assert(!ctx.training && x.rank() == 4 && x.dim(1) == channels_);
   if (y.shape() != x.shape()) y = Tensor(x.shape());
-  const int n = x.dim(0);
-  const std::int64_t plane = static_cast<std::int64_t>(x.dim(2)) * x.dim(3);
+  normalize(x, y, from, ctx.subnet_id,
+            SpatialRegion::full(x.dim(2), x.dim(3)));
+}
+
+void BatchNorm2d::forward_delta(const Tensor& x, Tensor& y,
+                                const SpatialRegion& out_region,
+                                const SubnetContext& ctx) {
+  assert(!ctx.training && x.rank() == 4 && x.dim(1) == channels_);
+  if (y.shape() != x.shape()) {
+    forward_step(x, y, 0, ctx, nullptr);
+    return;
+  }
+  normalize(x, y, 0, ctx.subnet_id, out_region.clipped(x.dim(2), x.dim(3)));
+}
+
+void BatchNorm2d::normalize(const Tensor& x, Tensor& y, int from, int to,
+                            const SpatialRegion& reg) const {
+  if (reg.empty()) return;
+  const int n = x.dim(0), h = x.dim(2), w = x.dim(3);
+  // Full-width rows of a plane are contiguous: one run per plane.
+  const bool one_run = reg.width() == w;
+  const int rows = one_run ? 1 : reg.height();
+  const std::int64_t len = one_run ? reg.area() : reg.width();
   const float* px = x.data();
   float* py = y.data();
-  for_each_unit_run(assignment_.get(), channels_, from, ctx.subnet_id,
+  for_each_unit_run(assignment_.get(), channels_, from, to,
                     [&](int c0, int c1) {
     for (int c = c0; c < c1; ++c) {
       // Running statistics: the same per-element expression as training's
@@ -108,13 +129,16 @@ void BatchNorm2d::forward_step(const Tensor& x, Tensor& y, int from,
       const float inv_std = 1.0f / std::sqrt(running_var_[c] + eps_);
       const float g = gamma_.value[c], b = beta_.value[c];
       for (int i = 0; i < n; ++i) {
-        const std::int64_t off =
-            (static_cast<std::int64_t>(i) * channels_ + c) * plane;
-        const float* src = px + off;
-        float* dst = py + off;
-        for (std::int64_t j = 0; j < plane; ++j) {
-          const float xv = (src[j] - mean) * inv_std;
-          dst[j] = g * xv + b;
+        for (int r = 0; r < rows; ++r) {
+          const std::int64_t off =
+              ((static_cast<std::int64_t>(i) * channels_ + c) * h + reg.r0 +
+               r) * w + reg.c0;
+          const float* src = px + off;
+          float* dst = py + off;
+          for (std::int64_t j = 0; j < len; ++j) {
+            const float xv = (src[j] - mean) * inv_std;
+            dst[j] = g * xv + b;
+          }
         }
       }
     }

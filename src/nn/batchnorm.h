@@ -33,6 +33,11 @@ class BatchNorm2d final : public Layer {
   SpatialRegion propagate_dirty_region(const SpatialRegion& in) const override {
     return in;
   }
+  bool supports_spatial_delta() const override { return true; }
+  /// Normalizes only `out_region` of the active channels.
+  void forward_delta(const Tensor& x, Tensor& y,
+                     const SpatialRegion& out_region,
+                     const SubnetContext& ctx) override;
   std::vector<Param*> params() override { return {&gamma_, &beta_}; }
   void prepare_lr_suppression(int num_subnets, double beta) override;
   void activate_lr_scale(int k) override;
@@ -68,6 +73,11 @@ class BatchNorm2d final : public Layer {
   std::vector<float> inv_std_cache_;
 
   std::vector<std::vector<float>> lr_scale_;  // [k-1][channel]
+
+  /// Inference normalization of the rectangle `reg` of the channels joining
+  /// in (from, to], in place in y; every other element is untouched.
+  void normalize(const Tensor& x, Tensor& y, int from, int to,
+                 const SpatialRegion& reg) const;
 };
 
 }  // namespace stepping

@@ -157,19 +157,14 @@ void Conv2d::compute_rows(const Tensor& x, Tensor& y, int from, int to,
   ArenaScope ws;
   float* scratch = nullptr;
   if (use_cache) {
-    const std::vector<int> shape{n, patch, npanels * nr};
-    if (cache->cols.shape() != shape || cache->nr != nr) {
-      cache->cols = Tensor(shape);
-      cache->nr = nr;
-      cache->level = 0;
-    }
+    cache->fit({n, patch, npanels * nr}, nr);
     if (from == 0) cache->level = 0;  // a new input
     if (to > cache->level) {
       for (int i = 0; i < n; ++i) {
         for_each_unit_run(in_assign_.get(), geom_.in_c, cache->level, to,
                           [&](int c0, int c1) {
           im2col_panels(x.data() + i * in_img, geom_, whole, nr, patch,
-                        cache->cols.data() + i * img_cols, c0, c1);
+                        cache->data() + i * img_cols, c0, c1);
         });
       }
       cache->level = to;
@@ -179,7 +174,7 @@ void Conv2d::compute_rows(const Tensor& x, Tensor& y, int from, int to,
   }
 
   for (int i = 0; i < n; ++i) {
-    float* cols = use_cache ? cache->cols.data() + i * img_cols : scratch;
+    float* cols = use_cache ? cache->data() + i * img_cols : scratch;
     if (!use_cache) {
       lower_active(x.data() + i * in_img, whole, to, c_end, nr, cols);
     }

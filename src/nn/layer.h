@@ -12,7 +12,10 @@
 //    by producer and consumers alike.
 #pragma once
 
+#include <cstddef>
+#include <cstring>
 #include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -36,10 +39,52 @@ class Param;
 /// lowered. A step lowers only the input units joining in (level, to] and
 /// the GEMM reads the panels in place. `nr` is part of the key: an ISA tier
 /// switch can keep the shape and change the layout.
-struct StepColumns {
-  Tensor cols;
-  int nr = 0;
+///
+/// The panels live in storage of their own whose first float starts on a
+/// 64-byte cache line, so every NR-wide panel row (32/64/128 bytes for NR
+/// 8/16/32) starts on a line too. A plain heap block would not: glibc serves
+/// blocks of 128 KB and more from mmap, 16 bytes past a page boundary, and
+/// every panel load from there straddles two lines (DESIGN.md §6.6).
+class StepColumns {
+ public:
+  static constexpr std::size_t kAlign = 64;
+
+  /// Key the cache on (`shape`, `nr`): on any change the storage is
+  /// reallocated zero-filled and `level` drops to 0 (nothing lowered).
+  void fit(const std::vector<int>& shape, int nr) {
+    if (shape == shape_ && nr == nr_) return;
+    std::size_t n = 1;
+    for (int d : shape) n *= static_cast<std::size_t>(d);
+    panels_.reset(static_cast<float*>(
+        ::operator new(n * sizeof(float), std::align_val_t{kAlign})));
+    std::memset(panels_.get(), 0, n * sizeof(float));
+    shape_ = shape;
+    size_ = n;
+    nr_ = nr;
+    level = 0;
+  }
+
+  float* data() { return panels_.get(); }
+  const float* data() const { return panels_.get(); }
+  /// (batch, patch, npanels * nr); empty until the first fit().
+  const std::vector<int>& shape() const { return shape_; }
+  /// Floats held: the panel extent of the whole batch.
+  std::size_t size() const { return size_; }
+  int nr() const { return nr_; }
+
+  /// Highest subnet whose input units are lowered for the current input.
   int level = 0;
+
+ private:
+  struct AlignedDelete {
+    void operator()(float* p) const {
+      ::operator delete(p, std::align_val_t{kAlign});
+    }
+  };
+  std::unique_ptr<float[], AlignedDelete> panels_;
+  std::vector<int> shape_;
+  std::size_t size_ = 0;
+  int nr_ = 0;
 };
 
 /// Per-unit subnet ids, 1-based. Input image channels use 1 (present in the
@@ -166,7 +211,8 @@ class Layer {
   }
 
   /// True when forward_delta() actually saves compute for a sub-plane
-  /// region (today: non-head Conv2d). Layers answering false still take
+  /// region (non-head Conv2d, BatchNorm2d, ReLU, MaxPool2d). Layers
+  /// answering false still take
   /// part in streaming via propagate_dirty_region(); the executor just runs
   /// their plain forward on the (exact) spliced input.
   virtual bool supports_spatial_delta() const { return false; }

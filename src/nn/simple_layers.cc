@@ -40,6 +40,20 @@ void ReLU::forward_step(const Tensor& x, Tensor& y, int from,
                     [&](int u0, int u1) { relu_units(x, y, units, u0, u1); });
 }
 
+void ReLU::forward_delta(const Tensor& x, Tensor& y,
+                         const SpatialRegion& out_region,
+                         const SubnetContext& ctx) {
+  assert(!ctx.training);
+  if (x.rank() != 4 || y.shape() != x.shape()) {
+    forward_step(x, y, 0, ctx, nullptr);
+    return;
+  }
+  for_each_unit_run(assignment_.get(), x.dim(1), 0, ctx.subnet_id,
+                    [&](int c0, int c1) {
+    relu_region(x, y, out_region, c0, c1);
+  });
+}
+
 Tensor ReLU::backward(const Tensor& grad_y, const SubnetContext& ctx) {
   (void)ctx;
   Tensor grad_x;
@@ -82,8 +96,29 @@ void MaxPool2d::forward_step(const Tensor& x, Tensor& y, int from,
   const std::vector<int> shape{x.dim(0), x.dim(1), x.dim(2) / k_,
                                x.dim(3) / k_};
   if (y.shape() != shape) y = Tensor(shape);
+  const SpatialRegion whole = SpatialRegion::full(shape[2], shape[3]);
   for_each_unit_run(assignment_.get(), x.dim(1), from, ctx.subnet_id,
-                    [&](int c0, int c1) { maxpool_channels(x, k_, y, c0, c1); });
+                    [&](int c0, int c1) {
+    maxpool_channels(x, k_, y, c0, c1, whole);
+  });
+}
+
+void MaxPool2d::forward_delta(const Tensor& x, Tensor& y,
+                              const SpatialRegion& out_region,
+                              const SubnetContext& ctx) {
+  assert(!ctx.training && x.rank() == 4);
+  if (y.shape() != std::vector<int>{x.dim(0), x.dim(1), x.dim(2) / k_,
+                                    x.dim(3) / k_}) {
+    forward_step(x, y, 0, ctx, nullptr);
+    return;
+  }
+  // Every pooled output whose window meets the dirty input is inside
+  // out_region (propagate_dirty_region rounds outward), and each window it
+  // recomputes reads the spliced, exact input.
+  for_each_unit_run(assignment_.get(), x.dim(1), 0, ctx.subnet_id,
+                    [&](int c0, int c1) {
+    maxpool_channels(x, k_, y, c0, c1, out_region);
+  });
 }
 
 Tensor MaxPool2d::backward(const Tensor& grad_y, const SubnetContext& ctx) {

@@ -27,6 +27,11 @@ class ReLU final : public Layer {
   SpatialRegion propagate_dirty_region(const SpatialRegion& in) const override {
     return in;
   }
+  bool supports_spatial_delta() const override { return true; }
+  /// Rectifies only `out_region` of the active channels (NCHW input).
+  void forward_delta(const Tensor& x, Tensor& y,
+                     const SpatialRegion& out_region,
+                     const SubnetContext& ctx) override;
   std::unique_ptr<Layer> clone() const override {
     return std::make_unique<ReLU>(*this);
   }
@@ -56,6 +61,11 @@ class MaxPool2d final : public Layer {
                     (in.c1 + k_ - 1) / k_};
     return r.clipped(s.h, s.w);
   }
+  bool supports_spatial_delta() const override { return true; }
+  /// Re-pools only the outputs in `out_region` of the active channels.
+  void forward_delta(const Tensor& x, Tensor& y,
+                     const SpatialRegion& out_region,
+                     const SubnetContext& ctx) override;
   std::unique_ptr<Layer> clone() const override {
     return std::make_unique<MaxPool2d>(*this);
   }

@@ -168,9 +168,10 @@ SpatialRegion diff_tiles(const std::vector<std::uint64_t>& prev,
 }
 
 /// One exact delta pass at st.level, in place over st.layer_outputs: walk
-/// the layers threading the dirty region; conv layers splice recomputed
-/// rectangles into their cached outputs, every other layer re-runs its
-/// active-channel pass on the (exact) spliced input. Region tracking stops
+/// the layers threading the dirty region; layers with a spatial delta (body
+/// convs, BN, ReLU, max-pool) splice recomputed rectangles into their
+/// cached outputs, every other layer re-runs its active-channel pass on the
+/// (exact) spliced input. Region tracking stops
 /// at the first flat output (Flatten / Dense) — from there the whole
 /// activation is treated as dirty anyway. Returns analytic MACs executed;
 /// st.layer_outputs become frame t+1's ladder at st.level.

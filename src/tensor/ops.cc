@@ -422,26 +422,27 @@ void maxpool_forward(const Tensor& x, int k, Tensor& y, std::vector<int>& argmax
   });
 }
 
-void maxpool_channels(const Tensor& x, int k, Tensor& y, int c0, int c1) {
+void maxpool_channels(const Tensor& x, int k, Tensor& y, int c0, int c1,
+                      const SpatialRegion& out_region) {
   STEPPING_TRACE_SCOPE_CAT("kernel", "maxpool");
   assert(x.rank() == 4 && y.rank() == 4);
   const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const int oh = h / k, ow = w / k;
   assert(y.dim(0) == n && y.dim(1) == c && y.dim(2) == oh && y.dim(3) == ow);
-  if (c1 <= c0) return;
+  const SpatialRegion reg = out_region.clipped(oh, ow);
+  if (c1 <= c0 || reg.empty()) return;
   const int span = c1 - c0;
   const float* px = x.data();
   float* py = y.data();
   const int ospatial = oh * ow;
   parallel_for_cost(0, static_cast<std::int64_t>(n) * span,
-                    static_cast<std::int64_t>(ospatial) * k * k,
-                    [&](std::int64_t q0, std::int64_t q1) {
+                    reg.area() * k * k, [&](std::int64_t q0, std::int64_t q1) {
     for (std::int64_t q = q0; q < q1; ++q) {
       const std::int64_t pl = (q / span) * c + c0 + q % span;
       const float* plane = px + static_cast<std::size_t>(pl) * h * w;
       float* out = py + static_cast<std::size_t>(pl) * ospatial;
-      for (int yy = 0; yy < oh; ++yy) {
-        for (int xx = 0; xx < ow; ++xx) {
+      for (int yy = reg.r0; yy < reg.r1; ++yy) {
+        for (int xx = reg.c0; xx < reg.c1; ++xx) {
           // Same scan and comparison as maxpool_forward, minus the argmax.
           float best = -std::numeric_limits<float>::infinity();
           for (int dy = 0; dy < k; ++dy) {
@@ -574,6 +575,34 @@ void relu_units(const Tensor& x, Tensor& y, int units, int c0, int c1) {
       const std::int64_t off = (i * units + c0) * per;
       for (std::int64_t j = off; j < off + len; ++j) {
         py[j] = px[j] > 0.0f ? px[j] : 0.0f;
+      }
+    }
+  });
+}
+
+void relu_region(const Tensor& x, Tensor& y, const SpatialRegion& region,
+                 int c0, int c1) {
+  STEPPING_TRACE_SCOPE_CAT("kernel", "relu_forward");
+  assert(x.rank() == 4 && y.shape() == x.shape());
+  const int c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const SpatialRegion reg = region.clipped(h, w);
+  if (c1 <= c0 || reg.empty()) return;
+  const int span = c1 - c0;
+  // Full-width rows of a plane are contiguous: one run per plane.
+  const bool one_run = reg.width() == w;
+  const int rows = one_run ? 1 : reg.height();
+  const std::int64_t len = one_run ? reg.area() : reg.width();
+  const float* px = x.data();
+  float* py = y.data();
+  parallel_for_cost(0, static_cast<std::int64_t>(x.dim(0)) * span, reg.area(),
+                    [&](std::int64_t q0, std::int64_t q1) {
+    for (std::int64_t q = q0; q < q1; ++q) {
+      const std::int64_t pl = (q / span) * c + c0 + q % span;
+      for (int r = 0; r < rows; ++r) {
+        const std::int64_t off = (pl * h + reg.r0 + r) * w + reg.c0;
+        for (std::int64_t j = off; j < off + len; ++j) {
+          py[j] = px[j] > 0.0f ? px[j] : 0.0f;
+        }
       }
     }
   });

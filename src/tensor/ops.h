@@ -210,10 +210,12 @@ void maxpool_forward(const Tensor& x, int k, Tensor& y, std::vector<int>& argmax
 void maxpool_backward(const Tensor& grad_y, const std::vector<int>& argmax,
                       Tensor& grad_x);
 
-/// Inference max pooling of channels [c0, c1) only, into a preallocated y
-/// of the pooled shape; other channels of y are untouched and no argmax is
-/// kept. Per element bitwise identical to maxpool_forward.
-void maxpool_channels(const Tensor& x, int k, Tensor& y, int c0, int c1);
+/// Inference max pooling of the output rectangle `out` of channels [c0, c1)
+/// only, into a preallocated y of the pooled shape; every other element of
+/// y is untouched and no argmax is kept. Per element bitwise identical to
+/// maxpool_forward.
+void maxpool_channels(const Tensor& x, int k, Tensor& y, int c0, int c1,
+                      const SpatialRegion& out);
 
 /// Global average pooling over H,W: (N,C,H,W) -> (N,C).
 void global_avgpool_forward(const Tensor& x, Tensor& y);
@@ -236,6 +238,11 @@ void relu_backward(const Tensor& grad_y, const std::vector<unsigned char>& mask,
 /// preallocated y of x's shape; other units of y are untouched and no mask
 /// is kept. Per element bitwise identical to relu_forward.
 void relu_units(const Tensor& x, Tensor& y, int units, int c0, int c1);
+
+/// relu_units over the spatial rectangle `reg` of channels [c0, c1) of an
+/// NCHW x; every other element of y is untouched.
+void relu_region(const Tensor& x, Tensor& y, const SpatialRegion& reg, int c0,
+                 int c1);
 
 /// y += x (shapes must match).
 void add_inplace(Tensor& y, const Tensor& x);

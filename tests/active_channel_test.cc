@@ -21,10 +21,12 @@
 //
 // The ActiveChannelCounters tests pin the executed-work counters: a climb
 // lowers exactly the im2col bytes of one direct forward, and each step's
-// conv multiply-adds equal the analytic MACs of the units it adds.
+// conv multiply-adds equal the analytic MACs of the units it adds. The
+// SpatialDelta tests pin the stream delta hooks of BN, ReLU and max-pool.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -45,6 +47,10 @@
 #include "tensor/gemm_kernel.h"
 #include "tensor/ops.h"
 #include "util/thread_pool.h"
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 namespace stepping {
 namespace {
@@ -112,6 +118,12 @@ bool same_bits(const Tensor& a, const Tensor& b) {
   return a.shape() == b.shape() &&
          std::memcmp(a.data(), b.data(),
                      sizeof(float) * static_cast<std::size_t>(a.numel())) == 0;
+}
+
+/// Same shape, panel width and panel bytes over the whole panel extent.
+bool same_panels(const StepColumns& a, const StepColumns& b) {
+  return a.shape() == b.shape() && a.nr() == b.nr() &&
+         std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -549,15 +561,233 @@ TEST(ActiveChannelCache, ReLowersAfterTierSwitch) {
     EXPECT_TRUE(same_bits(got, want));
     int convs = 0;
     for (std::size_t i = 0; i < cols.size(); ++i) {
-      if (cold[i].cols.empty()) continue;
+      if (cold[i].shape().empty()) continue;
       ++convs;
-      EXPECT_EQ(cols[i].nr, gemm_panel_width());
-      EXPECT_TRUE(same_bits(cols[i].cols, cold[i].cols)) << "layer " << i;
+      EXPECT_EQ(cols[i].nr(), gemm_panel_width());
+      EXPECT_TRUE(same_panels(cols[i], cold[i])) << "layer " << i;
     }
     EXPECT_GT(convs, 0);
   }
   set_isa_tier(env_isa_tier());
 }
+
+TEST(ActiveChannelCache, PanelsStartOnACacheLine) {
+  // glibc serves heap blocks of at least M_MMAP_THRESHOLD from mmap, 16
+  // bytes past a page boundary. Pin the threshold at 128 KB (its default
+  // before glibc's dynamic adjustment raises it) so every conv's panel block
+  // (c1 ~300 KB here) is one such block: a plain heap allocation would leave
+  // every panel row straddling two cache lines. ctest runs each case in its
+  // own process, so the setting does not reach other tests. A sanitizer's
+  // allocator ignores the call (it returns 0); the panels must be aligned
+  // either way.
+#if defined(__GLIBC__)
+  mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+  Network net = prefix_net();
+  const Tensor x = random_input(1, 67);
+  std::vector<Tensor> outs;
+  std::vector<StepColumns> cols;
+  int checked = 0;
+  for (int to = 1; to <= 4; ++to) {
+    ladder_step(net, x, outs, to - 1, to, &cols);
+    for (std::size_t i = 0; i < cols.size(); ++i) {
+      const auto* conv = dynamic_cast<const Conv2d*>(net.layers()[i].get());
+      if (conv == nullptr || conv->is_head()) continue;
+      ASSERT_FALSE(cols[i].shape().empty()) << "layer " << i;
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(cols[i].data()) %
+                    StepColumns::kAlign,
+                0u)
+          << "layer " << i << " step " << to;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 3 * 4);
+#else
+  GTEST_SKIP() << "mallopt(M_MMAP_THRESHOLD) is glibc-only";
+#endif
+}
+
+// ---------------------------------------------------------------------------
+// Spatial delta hooks of BN, ReLU and max-pool.
+// ---------------------------------------------------------------------------
+//
+// A stream delta frame recomputes only the dirty rectangle of each layer
+// (Layer::forward_delta). For BatchNorm2d, ReLU and MaxPool2d: at odd output
+// regions, corners and plane edges included, forward_delta writes exactly
+// the region of the active channels, every other byte of the output keeps
+// its previous contents, and the written values equal forward_step's bit
+// for bit. Each layer runs on the activation it sees in a ladder state, at
+// every level, at 1 and 4 threads.
+
+Tensor random_tensor(const std::vector<int>& shape, std::uint64_t seed) {
+  Rng rng(seed);
+  Tensor t(shape);
+  fill_normal(t, 0.0f, 1.0f, rng);
+  return t;
+}
+
+/// Odd output regions of an h x w plane: corners, edges, single elements,
+/// full-width bands, the whole plane and an empty one.
+std::vector<SpatialRegion> regions_of(int h, int w) {
+  std::vector<SpatialRegion> regs = {
+      {0, 1, 0, 1},                  // top-left element
+      {h - 1, h, w - 1, w},          // bottom-right element
+      {0, h, 0, 1},                  // left column
+      {0, 1, 0, w},                  // top row (one full-width run)
+      {h / 3, h / 3 + 2, 0, w},      // interior full-width band
+      {h / 4, h - 1, w / 3, w},      // touches the right edge
+      {h - 2, h + 3, w / 2 - 1, w / 2 + 2},  // past the bottom edge
+      {-2, 2, -1, 3},                // before the top-left corner
+      {1, h - 1, 1, w - 1},          // interior, one element off each edge
+      {0, h, 0, w},                  // whole plane
+      {2, 2, 1, 3},                  // empty
+  };
+  return regs;
+}
+
+/// Units of `layer`'s output active at `level` (input channels 1 when the
+/// layer carries no assignment).
+std::vector<bool> active_units(const Layer& layer, int units, int level) {
+  std::vector<bool> on(static_cast<std::size_t>(units), true);
+  const AssignmentPtr& a = layer.out_spec().assignment;
+  if (a == nullptr) return on;
+  for (int u = 0; u < units; ++u) {
+    on[static_cast<std::size_t>(u)] = (*a)[static_cast<std::size_t>(u)] <= level;
+  }
+  return on;
+}
+
+/// forward_delta over `reg` against the expectation built from
+/// forward_step: the previous output everywhere, with forward_step's values
+/// spliced in over `reg` of the active channels. Compared byte for byte.
+void check_region(Layer& layer, const Tensor& in, const Tensor& prev,
+                  const SpatialRegion& reg, int level,
+                  const std::string& where) {
+  SubnetContext ctx;
+  ctx.subnet_id = level;
+  Tensor full = prev;
+  layer.forward_step(in, full, 0, ctx, nullptr);
+  Tensor got = prev;
+  layer.forward_delta(in, got, reg, ctx);
+
+  const int n = prev.dim(0), c = prev.dim(1), h = prev.dim(2), w = prev.dim(3);
+  const SpatialRegion clip = reg.clipped(h, w);
+  const std::vector<bool> on = active_units(layer, c, level);
+  Tensor want = prev;
+  for (int i = 0; i < n; ++i) {
+    for (int u = 0; u < c; ++u) {
+      if (!on[static_cast<std::size_t>(u)]) continue;
+      const std::int64_t plane = (static_cast<std::int64_t>(i) * c + u) * h * w;
+      for (int r = clip.r0; r < clip.r1; ++r) {
+        for (int q = clip.c0; q < clip.c1; ++q) {
+          want[plane + r * w + q] = full[plane + r * w + q];
+        }
+      }
+    }
+  }
+  ASSERT_EQ(got.shape(), want.shape()) << where;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        sizeof(float) * static_cast<std::size_t>(want.numel())),
+            0)
+      << where;
+}
+
+class SpatialDelta : public ::testing::TestWithParam<int> {
+ protected:
+  void SetUp() override { ThreadPool::set_global_threads(GetParam()); }
+  void TearDown() override {
+    ThreadPool::set_global_threads(ThreadPool::default_threads());
+  }
+};
+
+TEST_P(SpatialDelta, WritesOnlyTheRegionOfActiveChannelsBitwise) {
+  for (const NetKind kind :
+       {NetKind::kPrefixLenet3c1l, NetKind::kScatteredLenet3c1l}) {
+    Network net = make_net(kind);
+    const int levels = levels_of(kind);
+    const std::string name =
+        kind == NetKind::kPrefixLenet3c1l ? "prefix" : "scattered";
+    const Tensor x = random_input(2, 90);
+    const auto& layers = net.layers();
+    int bn = 0, relu = 0, pool = 0;
+    for (int level = 1; level <= levels; ++level) {
+      std::vector<Tensor> outs;
+      ladder_step(net, x, outs, 0, level);
+      for (std::size_t i = 0; i < layers.size(); ++i) {
+        Layer& layer = *layers[i];
+        if (dynamic_cast<Conv2d*>(&layer) != nullptr ||
+            !layer.supports_spatial_delta()) {
+          continue;
+        }
+        bn += dynamic_cast<BatchNorm2d*>(&layer) != nullptr;
+        relu += dynamic_cast<ReLU*>(&layer) != nullptr;
+        pool += dynamic_cast<MaxPool2d*>(&layer) != nullptr;
+        const Tensor& in = i == 0 ? x : outs[i - 1];
+        // The previous output holds arbitrary bits, so an untouched byte
+        // cannot pass by coincidence.
+        const Tensor prev = random_tensor(outs[i].shape(), 100 + i);
+        const IOSpec& spec = layer.out_spec();
+        for (const SpatialRegion& reg : regions_of(spec.h, spec.w)) {
+          check_region(layer, in, prev, reg, level,
+                       name + " " + layer.name() + " L" +
+                           std::to_string(level) + " region [" +
+                           std::to_string(reg.r0) + "," + std::to_string(reg.r1) +
+                           ")x[" + std::to_string(reg.c0) + "," +
+                           std::to_string(reg.c1) + ")");
+        }
+      }
+    }
+    // lenet3c1l: three conv blocks, each BN + ReLU + pool.
+    EXPECT_EQ(bn, 3 * levels) << name;
+    EXPECT_EQ(relu, 3 * levels) << name;
+    EXPECT_EQ(pool, 3 * levels) << name;
+  }
+}
+
+TEST_P(SpatialDelta, PoolRegionFromDirtyInputCoversEveryChangedWindow) {
+  // A dirty input rectangle, mapped through propagate_dirty_region, must
+  // name every pooled output that reads it: re-pooling only that region on
+  // the changed input reproduces a full re-pool exactly.
+  Network net = make_net(NetKind::kPrefixLenet3c1l);
+  const Tensor x = random_input(1, 91);
+  std::vector<Tensor> outs;
+  ladder_step(net, x, outs, 0, 4);
+  SubnetContext ctx;
+  ctx.subnet_id = 4;
+  const auto& layers = net.layers();
+  int pools = 0;
+  for (std::size_t i = 1; i < layers.size(); ++i) {
+    auto* pool = dynamic_cast<MaxPool2d*>(layers[i].get());
+    if (pool == nullptr) continue;
+    ++pools;
+    const Tensor& in = outs[i - 1];
+    const int h = in.dim(2), w = in.dim(3);
+    const SpatialRegion dirty_in[] = {
+        {1, 2, 1, 2}, {h - 3, h, w - 1, w}, {0, 3, w / 2, w / 2 + 3}};
+    for (const SpatialRegion& d : dirty_in) {
+      Tensor changed = in;
+      for (int u = 0; u < changed.dim(1); ++u) {
+        for (int r = d.r0; r < d.r1; ++r) {
+          for (int q = d.c0; q < d.c1; ++q) {
+            changed[(static_cast<std::int64_t>(u) * h + r) * w + q] += 3.0f;
+          }
+        }
+      }
+      Tensor got = outs[i];  // the pooled output of the previous input
+      pool->forward_delta(changed, got, pool->propagate_dirty_region(d), ctx);
+      Tensor want = outs[i];
+      pool->forward_step(changed, want, 0, ctx, nullptr);
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            sizeof(float) *
+                                static_cast<std::size_t>(want.numel())),
+                0)
+          << pool->name() << " dirty [" << d.r0 << "," << d.r1 << ")x["
+          << d.c0 << "," << d.c1 << ")";
+    }
+  }
+  EXPECT_EQ(pools, 3);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, SpatialDelta, ::testing::Values(1, 4));
 
 }  // namespace
 }  // namespace stepping
